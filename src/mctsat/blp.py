@@ -73,16 +73,18 @@ def objective_weights(f: Formula, problem_class: ProblemClass) -> list[int]:
     return [c.weight for c in f.clauses]
 
 
-def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
-    """Build the (w, a_y, b) reduction; rejects partial instances whose hard
+def checked_weights(f: Formula, problem_class: ProblemClass) -> list[int]:
+    """``objective_weights``, after rejecting partial instances whose hard
     weights do not dominate the total soft weight."""
-    if problem_class in (
-        ProblemClass.PARTIAL_MAXSAT,
-        ProblemClass.WEIGHTED_PARTIAL_MAXSAT,
-    ) and not check_hard_weight_rule(f):
-        raise ValueError(
-            "hard clause weights must each exceed the total soft weight"
-        )
+    partial = (ProblemClass.PARTIAL_MAXSAT, ProblemClass.WEIGHTED_PARTIAL_MAXSAT)
+    if problem_class in partial and not check_hard_weight_rule(f):
+        raise ValueError("hard clause weights must each exceed the total soft weight")
+    return objective_weights(f, problem_class)
+
+
+def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
+    """Build the (w, a_y, b) reduction; raises like ``checked_weights``."""
+    weights = checked_weights(f, problem_class)
     m, n = f.num_clauses, f.num_vars
     a_y = np.zeros((m, n), dtype=np.int64)
     b = np.zeros(m, dtype=np.int64)
@@ -93,7 +95,7 @@ def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
                 b[j] += 1
             else:
                 a_y[j, lit.var - 1] += 1
-    w = np.asarray(objective_weights(f, problem_class), dtype=np.int64).reshape(m)
+    w = np.asarray(weights, dtype=np.int64).reshape(m)
     return BlpProblem(_frozen(w), _frozen(a_y), _frozen(b))
 
 

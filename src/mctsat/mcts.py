@@ -1,9 +1,25 @@
 """Monte-Carlo tree search over variable assignments.
 
-One variable is committed per level.  A level expands every remaining action
-once, spends the rest of its exploration budget on children drawn from the
-soft-max-relaxed UCT eligible set, then commits the best child and starts a
-fresh level from the committed state.
+One variable is committed per level.  The level at depth k is a depth-1
+bandit over the 2(n - k) actions of its state, kept as per-arm lists in
+``action_space`` order (``LevelStats``).  It pulls every arm once, spends the
+rest of its budget on arms drawn from the soft-max-relaxed UCT eligible set,
+commits the best arm, and the next level starts afresh from that state.
+
+Episodes are scored by ``EpisodeKernel``, built once per solve.  Assignments
+are ints with bit v set when variable v + 1 is 1; clause sets are ints with
+bit j for clause j; ``lit[v][b]`` holds the clauses satisfied by v + 1 = b.
+A 256-entry table per byte of variables maps that byte of a full assignment
+to the union of its literals' sets, so scoring takes ceil(n / 8) lookups.  A
+set's weight is the sum of 2^b * popcount(set & plane_b) over the weights'
+bit planes: exact integer arithmetic for any weight.
+
+A uniform rollout draws one of the 2(n - k) remaining actions per step, so
+each free variable ends up a fair bit, independent of the others and of the
+order of the draws.  The terminal reward depends on the final assignment
+only, so ``uniform_completion`` draws all free bits from one ``getrandbits``:
+the same distribution.  Shaped rewards depend on the order too, and
+``shuffled_completion`` draws a uniform order, then independent fair bits.
 """
 
 from __future__ import annotations
@@ -11,25 +27,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
-from .blp import UNASSIGNED
+from .blp import checked_weights
 from .instances import Formula, ProblemClass
-from .rl import (
-    Action,
-    Episode,
-    EpisodeScorer,
-    RewardKind,
-    State,
-    action_space,
-    apply_action,
-    initial_state,
-    is_terminal,
-    rollout,
-)
+from .rl import Action, RewardKind
+from .rl import rollout  # noqa: F401  # tracing site of the rollout layer, not called
 
 
 class ExploitRule(Enum):
@@ -50,46 +54,30 @@ class SolverConfig:
     reward: RewardKind = RewardKind.TERMINAL
     exploit_rule: ExploitRule = ExploitRule.MEAN_Q
     seed: int = 0
-    keep_trees: bool = False  # retain per-level roots on the result (debug/tests)
+    keep_trees: bool = False  # retain per-level statistics on the result (debug/tests)
 
 
-class SearchNode:
-    """Tree node carrying cumulative reward, visit count and reward extremes."""
+@dataclass
+class LevelStats:
+    """One level's bandit: per-arm visit counts, reward sums and reward
+    extremes in ``actions`` order, plus the level's total visit count."""
 
-    __slots__ = (
-        "state",
-        "from_action",
-        "parent",
-        "children",
-        "q_sum",
-        "visits",
-        "r_max",
-        "r_min",
-    )
+    actions: tuple[Action, ...]
+    visits: list[int]
+    q_sum: list[float]
+    r_max: list[float]
+    r_min: list[float]
+    total: int = 0
 
-    def __init__(
-        self,
-        state: State,
-        from_action: Action | None = None,
-        parent: "SearchNode | None" = None,
-    ):
-        self.state = state
-        self.from_action = from_action
-        self.parent = parent
-        self.children: list[SearchNode] = []
-        self.q_sum = 0.0
-        self.visits = 0
-        self.r_max = -math.inf
-        self.r_min = math.inf
+    @classmethod
+    def fresh(cls, actions) -> "LevelStats":
+        k = len(actions)
+        return cls(tuple(actions), [0] * k, [0.0] * k, [-math.inf] * k, [math.inf] * k)
 
-    def mean(self) -> float:
-        return self.q_sum / self.visits
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"SearchNode(action={self.from_action}, N={self.visits}, "
-            f"Q={self.q_sum:.3f}, r_max={self.r_max:.3f})"
-        )
+    def frozen(self) -> "LevelStats":
+        """Read-only snapshot, the per-arm lists as tuples."""
+        arrays = ("visits", "q_sum", "r_max", "r_min")
+        return replace(self, **{name: tuple(getattr(self, name)) for name in arrays})
 
 
 @dataclass(frozen=True)
@@ -107,16 +95,15 @@ class SolveResult:
     satisfied_mask: tuple[bool, ...]
     hard_violations: tuple[int, ...]
     stats: SearchStats
-    level_roots: tuple[SearchNode, ...] = ()
+    level_roots: tuple[LevelStats, ...] = ()
 
 
-def uct_value(parent: SearchNode, child: SearchNode, c: float) -> float:
-    """Mean reward plus the exploration bonus c * sqrt(2 ln N_parent / N_child)."""
-    if child.visits < 1 or parent.visits < 1:
-        raise ValueError("uct_value requires at least one visit on both nodes")
-    return child.q_sum / child.visits + c * math.sqrt(
-        2.0 * math.log(parent.visits) / child.visits
-    )
+def uct_value(level: LevelStats, arm: int, c: float) -> float:
+    """Mean reward plus the exploration bonus c * sqrt(2 ln N_level / N_arm)."""
+    v = level.visits[arm]
+    if v < 1 or level.total < 1:
+        raise ValueError("uct_value requires visits on both the level and the arm")
+    return level.q_sum[arm] / v + c * math.sqrt(2.0 * math.log(level.total) / v)
 
 
 def soft_threshold(values, alpha: float) -> float:
@@ -128,48 +115,35 @@ def soft_threshold(values, alpha: float) -> float:
     return (1.0 - alpha) * min(values) + alpha * max(values)
 
 
-def exploration_eligible(v: SearchNode, cfg: SolverConfig) -> list[int]:
-    """Indices of children whose UCT value reaches the soft threshold."""
-    if not v.children:
-        raise ValueError("node has no children")
-    ucts = [uct_value(v, child, cfg.uct_c) for child in v.children]
-    # the threshold is a convex combination, so mathematically <= max(ucts);
-    # clamp to guard against it landing one rounding step above
-    thr = min(soft_threshold(ucts, cfg.alpha), max(ucts))
+def exploration_eligible(level: LevelStats, cfg: SolverConfig) -> list[int]:
+    """Arms whose UCT value (as ``uct_value``) reaches the soft threshold."""
+    if not level.visits:
+        raise ValueError("level has no arms")
+    c, sqrt = cfg.uct_c, math.sqrt
+    log_term = 2.0 * math.log(level.total)
+    ucts = [q / v + c * sqrt(log_term / v) for q, v in zip(level.q_sum, level.visits)]
+    hi = max(ucts)
+    # the threshold is a convex combination, so mathematically <= hi; clamp
+    # to guard against it landing one rounding step above
+    thr = min((1.0 - cfg.alpha) * min(ucts) + cfg.alpha * hi, hi)
     return [i for i, u in enumerate(ucts) if u >= thr]
 
 
-def select_exploration_child(
-    v: SearchNode, cfg: SolverConfig, rng: random.Random
-) -> SearchNode:
-    """Uniform draw from the soft-max eligible children."""
-    if not v.children:
-        raise ValueError("node has no children")
-    # inlined exploration_eligible: this sits on the per-episode hot path
-    c = cfg.uct_c
-    log_term = 2.0 * math.log(v.visits)
-    ucts = [
-        child.q_sum / child.visits + c * math.sqrt(log_term / child.visits)
-        for child in v.children
-    ]
-    lo = min(ucts)
-    hi = max(ucts)
-    thr = min((1.0 - cfg.alpha) * lo + cfg.alpha * hi, hi)
-    eligible = [i for i, u in enumerate(ucts) if u >= thr]
-    return v.children[eligible[rng.randrange(len(eligible))]]
+def select_exploration_child(level: LevelStats, cfg: SolverConfig, rng) -> int:
+    """Uniform draw from the soft-max eligible arms."""
+    eligible = exploration_eligible(level, cfg)
+    return eligible[rng.randrange(len(eligible))]
 
 
-def backup(leaf: SearchNode, reward: float) -> None:
-    """Add the episode reward to every node from the leaf up to the root."""
-    node = leaf
-    while node is not None:
-        node.visits += 1
-        node.q_sum += reward
-        if reward > node.r_max:
-            node.r_max = reward
-        if reward < node.r_min:
-            node.r_min = reward
-        node = node.parent
+def backup(level: LevelStats, arm: int, reward: float) -> None:
+    """Add the episode reward to the arm and one visit to the level."""
+    level.total += 1
+    level.visits[arm] += 1
+    level.q_sum[arm] += reward
+    if reward > level.r_max[arm]:
+        level.r_max[arm] = reward
+    if reward < level.r_min[arm]:
+        level.r_min[arm] = reward
 
 
 def rank(values) -> list[int]:
@@ -196,21 +170,19 @@ def significance(means, maxes) -> list[float]:
     ]
 
 
-def select_best_child(
-    v: SearchNode, rule: ExploitRule, rng: random.Random
-) -> SearchNode:
+def select_best_child(level: LevelStats, rule: ExploitRule, rng: random.Random) -> int:
     """Commit rule.  MEAN_Q takes the best empirical mean.  SIGNIFICANCE maps
-    every child's significance value onto its maximum statistic, so the score
-    is the child's best observed reward.  Ties break uniformly at random."""
-    if not v.children:
-        raise ValueError("node has no children")
+    every arm's significance value onto its maximum statistic, so the score
+    is the arm's best observed reward.  Ties break uniformly at random."""
+    if not level.visits:
+        raise ValueError("level has no arms")
     if rule is ExploitRule.MEAN_Q:
-        scores = [child.q_sum / child.visits for child in v.children]
+        scores = [q / v for q, v in zip(level.q_sum, level.visits)]
     else:
-        scores = [child.r_max for child in v.children]
+        scores = level.r_max
     best = max(scores)
     ties = [i for i, s in enumerate(scores) if s == best]
-    return v.children[ties[rng.randrange(len(ties))]]
+    return ties[rng.randrange(len(ties))]
 
 
 @dataclass(frozen=True)
@@ -273,11 +245,94 @@ def derive_seed(base: int, *path: int) -> int:
     return x
 
 
+class EpisodeKernel:
+    """Exact episode scoring of one (formula, class) pair on int bitsets.
+
+    ``evaluate`` scores a full assignment.  ``advance`` extends a partial
+    episode, the point (steps, satisfied set, value, total), where ``total``
+    sums ``EpisodeScorer.score``'s r1 or r2 terms in its order and with its
+    float expressions; so ``shaped`` equals the reference reward of an
+    episode from depth 0.
+    """
+
+    START = (0, 0, 0, 0.0)
+
+    def __init__(self, f: Formula, problem_class: ProblemClass):
+        weights = checked_weights(f, problem_class)
+        n = f.num_vars
+        self.lit = lit = [[0, 0] for _ in range(n)]
+        for j, clause in enumerate(f.clauses):
+            for literal in clause.literals:
+                lit[literal.var - 1][0 if literal.negated else 1] |= 1 << j
+        self.tables = []
+        for base in range(0, n, 8):
+            table = [0]
+            for off, on in lit[base : base + 8]:
+                table = [s | off for s in table] + [s | on for s in table]
+            self.tables.append((base, table))
+        if all(w == 1 for w in weights):
+            self.wsum = int.bit_count
+        else:
+            planes = [
+                (b, sum(1 << j for j, w in enumerate(weights) if w >> b & 1))
+                for b in range(max(weights).bit_length())
+            ]
+            self.wsum = lambda s: sum((s & p).bit_count() << b for b, p in planes)
+        # step s has the coefficient (n + 1 - s) / n in both r1 and r2
+        self.coef = [0.0] + [(n + 1 - s) / n for s in range(1, n + 1)]
+
+    def evaluate(self, y: int) -> tuple[int, int]:
+        """(value, satisfied clause set) of a full assignment."""
+        sat = 0
+        for base, table in self.tables:
+            sat |= table[y >> base & 0xFF]
+        return self.wsum(sat), sat
+
+    def advance(self, point, order, bits: int, increment: bool):
+        """The point after giving ``order[i]`` bit i of ``bits``; ``total``
+        sums the r1 terms when ``increment``, else the r2 terms."""
+        s, sat, value, total = point
+        lit, coef, wsum = self.lit, self.coef, self.wsum
+        for var in order:
+            new = lit[var][bits & 1] & ~sat
+            bits >>= 1
+            s += 1
+            if new:
+                gain = wsum(new)
+                sat |= new
+                value += gain
+                if increment and s > 1:  # r1 skips the first step's gain
+                    total += coef[s] * gain
+            if not increment:
+                total += coef[s] * value
+        return s, sat, value, total
+
+    def shaped(self, point, order, bits: int, kind: RewardKind) -> tuple[float, int]:
+        """(reward, value) of the episode that extends ``point`` to a leaf."""
+        increment = kind is RewardKind.INCREMENT_WEIGHTED
+        _, _, value, total = self.advance(point, order, bits, increment)
+        if kind is RewardKind.MIXED:
+            return 0.5 * total + 0.5 * float(value), value
+        return total, value
+
+
+def uniform_completion(y: int, free: int, n: int, rng) -> int:
+    """``y`` with each variable of the ``free`` bitset drawn as a fair bit."""
+    return y | (rng.getrandbits(n) & free)
+
+
+def shuffled_completion(free: list[int], rng) -> tuple[list[int], int]:
+    """A uniform order of the ``free`` variables (shuffled in place) and
+    their values as the bits of one int, bit i for the i-th variable."""
+    rng.shuffle(free)
+    return free, rng.getrandbits(len(free))
+
+
 def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveResult:
     """Run the level-by-level search and return the best assignment found.
 
     Per level the budget is max(ceil(explore_factor * m), |A_s| + 1) episodes:
-    one expansion episode per child, the remainder through the eligible-set
+    one expansion episode per arm, the remainder through the eligible-set
     draw.  The committed path is returned unless some episode found a strictly
     better assignment, in which case that incumbent wins; keeping the path on
     ties preserves the randomized tie-breaking that multi-optimum enumeration
@@ -287,100 +342,69 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
         raise ValueError(f"alpha must be in [0, 1], got {cfg.alpha}")
     if cfg.explore_factor <= 0:
         raise ValueError("explore_factor must be positive")
+    n, m = f.num_vars, f.num_clauses
+    if n == 0:
+        raise ValueError("formula has no variables")
+    kernel = EpisodeKernel(f, problem_class)
     rng = random.Random(cfg.seed)
-    scorer = EpisodeScorer(f, problem_class)
-    state, _ = initial_state(f, problem_class)
-    m = f.num_clauses
     nominal = math.ceil(cfg.explore_factor * m)
-    terminal_reward = cfg.reward is RewardKind.TERMINAL
-    prefix: list[tuple[State, Action]] = []
-    per_level: list[int] = []
-    roots: list[SearchNode] = []
-    best_value = None
-    best_y = None
+    kind = cfg.reward
+    shaped = kind is not RewardKind.TERMINAL
+    increment = kind is RewardKind.INCREMENT_WEIGHTED
+    y, free, point = 0, list(range(n)), EpisodeKernel.START
+    best_value, best_y = -1, 0
+    arms, per_level, levels = [], [], []  # the level's arm data, budgets, snapshots
     t0 = time.perf_counter()
-    randrange = rng.randrange
 
-    def complete_uniform(y0: np.ndarray) -> np.ndarray:
-        # same draw sequence as rl.rollout, without materializing states
-        y = y0.copy()
-        unassigned = np.flatnonzero(y == UNASSIGNED).tolist()
-        while unassigned:
-            pick = randrange(2 * len(unassigned))
-            idx, bit = divmod(pick, 2)
-            y[unassigned[idx]] = bit
-            unassigned[idx] = unassigned[-1]
-            unassigned.pop()
-        return y
-
-    def episode_reward_from(level_state: State, action: Action, child_state: State):
+    def episode(arm: int) -> float:
         nonlocal best_value, best_y
-        if terminal_reward:
-            if is_terminal(child_state):
-                terminal = child_state.tableaux.y
-            else:
-                terminal = complete_uniform(child_state.tableaux.y)
-            value = scorer.terminal_value(terminal)
-            if best_value is None or value > best_value:
+        child_y, rest, rest_mask, start = arms[arm]
+        if shaped:
+            order, bits = shuffled_completion(rest, rng)
+            reward, value = kernel.shaped(start, order, bits, kind)
+            if value > best_value:
                 best_value = value
-                best_y = terminal
-            return float(value)
-        if is_terminal(child_state):
-            completion_steps: tuple = ()
-            terminal = child_state.tableaux.y
-        else:
-            ep = rollout(child_state, rng)
-            completion_steps = ep.steps
-            terminal = ep.terminal_assignment
-        value = scorer.terminal_value(terminal)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_y = terminal
-        full = Episode(
-            tuple(prefix) + ((level_state, action),) + completion_steps, terminal
-        )
-        return scorer.score(full, cfg.reward)
+                best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
+            return reward
+        full = uniform_completion(child_y, rest_mask, n, rng)
+        value = kernel.evaluate(full)[0]
+        if value > best_value:
+            best_value, best_y = value, full
+        return float(value)
 
-    while not is_terminal(state):
-        actions = action_space(state)
-        root = SearchNode(state)
-        budget = max(nominal, len(actions) + 1)
-        for act in actions:
-            child_state = apply_action(state, act)
-            child = SearchNode(child_state, from_action=act, parent=root)
-            root.children.append(child)
-            backup(child, episode_reward_from(state, act, child_state))
-        for _ in range(budget - len(actions)):
-            child = select_exploration_child(root, cfg, rng)
-            backup(child, episode_reward_from(state, child.from_action, child.state))
-        best = select_best_child(root, cfg.exploit_rule, rng)
-        prefix.append((state, best.from_action))
-        state = best.state
+    while free:
+        # per arm: the child's assignment, its free variables as a list and
+        # as a bitset, and (shaped rewards) its episode point
+        arms = []
+        for v in free:
+            rest = [u for u in free if u != v]
+            rest_mask = sum(1 << u for u in rest)
+            for bit in (0, 1):
+                start = kernel.advance(point, (v,), bit, increment) if shaped else None
+                arms.append((y | bit << v, rest, rest_mask, start))
+        level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
+        budget = max(nominal, len(arms) + 1)
+        for arm in range(len(arms)):
+            backup(level, arm, episode(arm))
+        for _ in range(budget - len(arms)):
+            arm = select_exploration_child(level, cfg, rng)
+            backup(level, arm, episode(arm))
+        y, rest, _, point = arms[select_best_child(level, cfg.exploit_rule, rng)]
+        free = sorted(rest)
         per_level.append(budget)
         if cfg.keep_trees:
-            roots.append(root)
+            levels.append(level.frozen())
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    path_y = state.tableaux.y
-    if best_value is not None and best_value > scorer.terminal_value(path_y):
-        final_y = best_y
-    else:
-        final_y = path_y
-    value, sat = scorer.evaluate(final_y)
-    hard_violations = tuple(
-        j for j in range(m) if f.clauses[j].hard and not sat[j]
-    )
-    stats = SearchStats(
-        episodes=sum(per_level),
-        per_level=tuple(per_level),
-        n_explore=nominal,
-        wall_ms=wall_ms,
-    )
+    final_y = best_y if best_value > kernel.evaluate(y)[0] else y
+    value, sat = kernel.evaluate(final_y)
     return SolveResult(
-        assignment=tuple(int(v) for v in final_y),
+        assignment=tuple(final_y >> v & 1 for v in range(n)),
         objective=value,
-        satisfied_mask=tuple(bool(s) for s in sat),
-        hard_violations=hard_violations,
-        stats=stats,
-        level_roots=tuple(roots),
+        satisfied_mask=tuple(bool(sat >> j & 1) for j in range(m)),
+        hard_violations=tuple(
+            j for j, c in enumerate(f.clauses) if c.hard and not sat >> j & 1
+        ),
+        stats=SearchStats(sum(per_level), tuple(per_level), nominal, wall_ms),
+        level_roots=tuple(levels),
     )

@@ -4,7 +4,7 @@ same columns for benchmark sweeps."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .instances import ProblemClass
 from .mcts import SolveResult
@@ -59,21 +59,8 @@ def make_record(
 
 
 def record_to_json(record: SolveRecord) -> str:
-    """One JSON object, keys in schema order."""
-    return json.dumps(
-        {
-            "instance": record.instance,
-            "class": record.problem_class,
-            "objective": record.objective,
-            "assignment": list(record.assignment),
-            "satisfied": record.satisfied,
-            "hard_violations": list(record.hard_violations),
-            "n_explore": record.n_explore,
-            "executions": record.executions,
-            "seed": record.seed,
-            "wall_ms": record.wall_ms,
-        }
-    )
+    """One JSON object; keys are CSV_COLUMNS, in the order of the fields."""
+    return json.dumps(dict(zip(CSV_COLUMNS, astuple(record))))
 
 
 def write_result(
@@ -91,18 +78,8 @@ def write_result(
 def parse_result(text: str) -> SolveRecord:
     """Re-parse a JSON record; inverse of record_to_json."""
     obj = json.loads(text)
-    return SolveRecord(
-        instance=obj["instance"],
-        problem_class=obj["class"],
-        objective=obj["objective"],
-        assignment=tuple(obj["assignment"]),
-        satisfied=obj["satisfied"],
-        hard_violations=tuple(obj["hard_violations"]),
-        n_explore=obj["n_explore"],
-        executions=obj["executions"],
-        seed=obj["seed"],
-        wall_ms=obj["wall_ms"],
-    )
+    values = (obj[key] for key in CSV_COLUMNS)
+    return SolveRecord(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 def csv_row(record: SolveRecord) -> list[str]:

@@ -144,11 +144,6 @@ class EpisodeScorer:
         sat = (self.a_y @ y + self.b) >= 1
         return int(self.w[sat].sum())
 
-    def evaluate(self, y: np.ndarray):
-        """(value, per-clause satisfaction mask) of a full assignment."""
-        sat = (self.a_y @ y + self.b) >= 1
-        return int(self.w[sat].sum()), sat
-
     def partial_values(self, episode: Episode) -> list[int]:
         """Partial objectives v_d..v_n along the episode, d = starting depth."""
         weights = self._weights

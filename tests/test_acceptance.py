@@ -13,7 +13,9 @@ from collections import Counter
 import pytest
 
 from mctsat import (
+    Action,
     ExploitRule,
+    LevelStats,
     ProblemClass,
     SolverConfig,
     brute_force,
@@ -21,12 +23,10 @@ from mctsat import (
     derive_seed,
     enumerate_optima,
     generate_random,
-    initial_state,
     objective,
     objective_weights,
     parse_cnf,
     rank,
-    SearchNode,
     select_best_child,
     select_exploration_child,
     significance,
@@ -193,17 +193,15 @@ def test_c04_multi_solution_completeness():
 
 
 def _stat_root(child_stats):
-    f = parse_cnf("p cnf 1 1\n1 0\n")
-    state, _ = initial_state(f, ProblemClass.MAXSAT)
-    root = SearchNode(state)
-    for q_sum, visits in child_stats:
-        child = SearchNode(state, parent=root)
-        child.q_sum = q_sum
-        child.visits = visits
-        child.r_max = q_sum / visits
-        root.children.append(child)
-    root.visits = sum(c.visits for c in root.children)
-    return root
+    k = len(child_stats)
+    return LevelStats(
+        actions=tuple(Action(i // 2 + 1, i % 2) for i in range(k)),
+        visits=[visits for _, visits in child_stats],
+        q_sum=[q_sum for q_sum, _ in child_stats],
+        r_max=[q_sum / visits for q_sum, visits in child_stats],
+        r_min=[math.inf] * k,
+        total=sum(visits for _, visits in child_stats),
+    )
 
 
 def test_c05_selection_rule_invariants():
@@ -219,11 +217,11 @@ def test_c05_selection_rule_invariants():
     rng = random.Random(derive_seed(BASE, 8))
     draws = 10_000
     explore_counts = Counter(
-        id(select_exploration_child(tie_root, SolverConfig(alpha=0.9, uct_c=0.0), rng))
+        select_exploration_child(tie_root, SolverConfig(alpha=0.9, uct_c=0.0), rng)
         for _ in range(draws)
     )
     best_counts = Counter(
-        id(select_best_child(tie_root, ExploitRule.MEAN_Q, rng)) for _ in range(draws)
+        select_best_child(tie_root, ExploitRule.MEAN_Q, rng) for _ in range(draws)
     )
     ok_freq = all(
         abs(c / draws - 0.5) < 0.02 for c in list(explore_counts.values()) + list(best_counts.values())
@@ -242,10 +240,12 @@ def test_c06_backup_accounting():
         cls = list(ProblemClass)[class_idx]
         res = solve(f, cls, SolverConfig(seed=rng.randint(0, 10**9), keep_trees=True))
         for root in res.level_roots:
-            assert root.visits == sum(c.visits for c in root.children)
-            for node in [root] + root.children:
-                mean = node.q_sum / node.visits
-                assert node.r_min - 1e-9 <= mean <= node.r_max + 1e-9
+            assert root.total == sum(root.visits)
+            nodes = [(sum(root.q_sum), root.total, min(root.r_min), max(root.r_max))]
+            nodes += zip(root.q_sum, root.visits, root.r_min, root.r_max)
+            for q_sum, visits, r_min, r_max in nodes:
+                mean = q_sum / visits
+                assert r_min - 1e-9 <= mean <= r_max + 1e-9
                 checked += 1
     gate(6, checked > 0, f"accounting holds across {checked} nodes in 20 solves")
 

@@ -105,11 +105,12 @@ class TestExitCodes:
         assert run_cli(["does-not-exist.cnf"]) == 2
 
     def test_oracle_mismatch_is_3(self, tmp_path):
-        # starved budget on weighted instances misses some optimum
+        # a starved budget misses the optimum on about a quarter of these
+        # weighted instances; it hits on all thirty with probability < 1e-4
         out = tmp_path / "oc.csv"
         code = run_cli(
             [
-                "gen:n=10,m=30,weighted,count=5,seed=6",
+                "gen:n=10,m=30,weighted,count=30,seed=6",
                 "--mode",
                 "oracle-check",
                 "--explore-factor",

@@ -1,0 +1,121 @@
+"""The search's episode kernel and completion draws against the reference
+implementations: ``blp.objective``, ``EpisodeScorer`` and ``rollout``."""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from mctsat import (
+    Action,
+    Episode,
+    EpisodeScorer,
+    Formula,
+    ProblemClass,
+    RewardKind,
+    SolverConfig,
+    apply_action,
+    generate_random,
+    initial_state,
+    objective,
+    parse_wcnf,
+    solve,
+)
+from mctsat.mcts import EpisodeKernel, shuffled_completion, uniform_completion
+
+# (weighted, hard clauses) per problem class, in ProblemClass order
+CLASS_SHAPES = ((False, 0), (True, 0), (False, 2), (True, 2))
+SHAPED = (RewardKind.INCREMENT_WEIGHTED, RewardKind.PREFIX_WEIGHTED, RewardKind.MIXED)
+
+
+def instances(n, seed):
+    """One formula per problem class with n variables, plus an empty one."""
+    for cls, (weighted, hard) in zip(ProblemClass, CLASS_SHAPES):
+        f = generate_random(n, 3 * n + 2, min(3, n), weighted, hard, seed=seed)
+        yield f, cls
+        yield Formula(n, ()), cls
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_value_and_mask_match_objective(n):
+    rng = random.Random(n)
+    for f, cls in instances(n, seed=100 + n):
+        kernel = EpisodeKernel(f, cls)
+        for _ in range(40):
+            y = [rng.randint(0, 1) for _ in range(n)]
+            value, sat = kernel.evaluate(sum(bit << v for v, bit in enumerate(y)))
+            truth = objective(f, cls, y)
+            assert value == truth.value
+            assert tuple(bool(sat >> j & 1) for j in range(f.num_clauses)) == truth.satisfied
+
+
+def reference_episode(f, cls, order, bits):
+    """The Episode that assigns order[i] the i-th bit, from depth 0."""
+    state, _ = initial_state(f, cls)
+    steps = []
+    for i, var in enumerate(order):
+        action = Action(var + 1, bits >> i & 1)
+        steps.append((state, action))
+        state = apply_action(state, action)
+    return Episode(tuple(steps), state.tableaux.y)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9])
+def test_shaped_reward_equals_episode_scorer(n):
+    rng = random.Random(7 * n)
+    for f, cls in instances(n, seed=200 + n):
+        kernel = EpisodeKernel(f, cls)
+        scorer = EpisodeScorer(f, cls)
+        for _ in range(25):
+            order = rng.sample(range(n), n)
+            bits = rng.getrandbits(n)
+            episode = reference_episode(f, cls, order, bits)
+            k = rng.randint(0, n)  # solve extends a cached prefix point
+            for kind in SHAPED:
+                increment = kind is RewardKind.INCREMENT_WEIGHTED
+                prefix = kernel.advance(EpisodeKernel.START, order[:k], bits, increment)
+                reward, value = kernel.shaped(prefix, order[k:], bits >> k, kind)
+                assert reward == scorer.score(episode, kind)
+                assert value == scorer.terminal_value(episode.terminal_assignment)
+
+
+def test_uniform_completion_frequencies():
+    # committed: variable 2 = 1, variable 4 = 0; free: variables 1, 3, 5
+    committed, free = 0b00010, 0b10101
+    rng = random.Random(2024)
+    counts = Counter()
+    draws = 10_000
+    for _ in range(draws):
+        y = uniform_completion(committed, free, 5, rng)
+        assert y & ~free == committed
+        counts[y] += 1
+    assert len(counts) == 8
+    for count in counts.values():
+        assert abs(count / draws - 1 / 8) < 0.02
+
+
+def test_shuffled_completion_order_frequencies():
+    rng = random.Random(2025)
+    orders = Counter()
+    bit_counts = Counter()
+    free = [3, 5, 8]
+    draws = 10_000
+    for _ in range(draws):
+        order, bits = shuffled_completion(free, rng)
+        orders[tuple(order)] += 1
+        bit_counts[bits] += 1
+    assert set(orders) == set(itertools.permutations([3, 5, 8]))
+    for count in orders.values():
+        assert abs(count / draws - 1 / 6) < 0.02
+    assert len(bit_counts) == 8
+    for count in bit_counts.values():
+        assert abs(count / draws - 1 / 8) < 0.02
+
+
+def test_hard_weight_rule_rejected():
+    # hard weight 4 does not exceed the soft total 5
+    f = parse_wcnf("p wcnf 1 3 4\n2 1 0\n3 -1 0\n4 1 0\n")
+    for cls in (ProblemClass.PARTIAL_MAXSAT, ProblemClass.WEIGHTED_PARTIAL_MAXSAT):
+        with pytest.raises(ValueError, match="hard clause weights"):
+            solve(f, cls, SolverConfig())

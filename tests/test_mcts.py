@@ -8,9 +8,10 @@ from collections import Counter
 import pytest
 
 from mctsat import (
+    Action,
     ExploitRule,
+    LevelStats,
     ProblemClass,
-    SearchNode,
     SolverConfig,
     backup,
     brute_force,
@@ -18,9 +19,9 @@ from mctsat import (
     derive_seed,
     exploration_eligible,
     generate_random,
-    initial_state,
     objective,
     parse_cnf,
+    parse_wcnf,
     rank,
     select_best_child,
     select_exploration_child,
@@ -33,43 +34,38 @@ from mctsat import (
 
 
 def make_root(child_stats, parent_visits=None):
-    """Root with children given as (q_sum, visits, r_max) triples."""
-    f = parse_cnf("p cnf 1 1\n1 0\n")
-    state, _ = initial_state(f, ProblemClass.MAXSAT)
-    root = SearchNode(state)
-    for q_sum, visits, r_max in child_stats:
-        child = SearchNode(state, parent=root)
-        child.q_sum = q_sum
-        child.visits = visits
-        child.r_max = r_max
-        child.r_min = r_max
-        root.children.append(child)
-    root.visits = (
-        parent_visits if parent_visits is not None else sum(c.visits for c in root.children)
+    """Level with arms given as (q_sum, visits, r_max) triples."""
+    root = LevelStats(
+        actions=tuple(Action(i // 2 + 1, i % 2) for i in range(len(child_stats))),
+        visits=[visits for _, visits, _ in child_stats],
+        q_sum=[q_sum for q_sum, _, _ in child_stats],
+        r_max=[r_max for _, _, r_max in child_stats],
+        r_min=[r_max for _, _, r_max in child_stats],
     )
+    root.total = parent_visits if parent_visits is not None else sum(root.visits)
     return root
 
 
 class TestUctValue:
     def test_formula_evaluation(self):
         root = make_root([(10.0, 2, 5.0)], parent_visits=4)
-        value = uct_value(root, root.children[0], 1.0)
+        value = uct_value(root, 0, 1.0)
         assert value == pytest.approx(5 + math.sqrt(math.log(4)), abs=1e-5)
         assert value == pytest.approx(6.17741, abs=1e-5)
 
     def test_zero_c_gives_pure_mean(self):
         root = make_root([(10.0, 2, 5.0)], parent_visits=4)
-        assert uct_value(root, root.children[0], 0.0) == 5.0
+        assert uct_value(root, 0, 0.0) == 5.0
 
     def test_single_visit_each_no_bonus(self):
         root = make_root([(5.0, 1, 5.0)], parent_visits=1)
-        assert uct_value(root, root.children[0], 1.0) == 5.0
+        assert uct_value(root, 0, 1.0) == 5.0
 
     def test_unvisited_child_rejected(self):
         root = make_root([(0.0, 1, 0.0)], parent_visits=1)
-        root.children[0].visits = 0
+        root.visits[0] = 0
         with pytest.raises(ValueError):
-            uct_value(root, root.children[0], 1.0)
+            uct_value(root, 0, 1.0)
 
 
 class TestSoftThreshold:
@@ -111,7 +107,7 @@ class TestExplorationSelection:
         counts = Counter()
         draws = 10_000
         for _ in range(draws):
-            counts[id(select_exploration_child(root, cfg, rng))] += 1
+            counts[select_exploration_child(root, cfg, rng)] += 1
         assert len(counts) == 2
         for count in counts.values():
             assert abs(count / draws - 0.5) < 0.02
@@ -125,29 +121,27 @@ class TestExplorationSelection:
 class TestBackup:
     def test_fresh_child_single_backup(self):
         root = make_root([(0.0, 0, -math.inf)], parent_visits=0)
-        child = root.children[0]
-        child.r_min = math.inf
-        backup(child, 4.0)
-        assert (child.q_sum, child.visits, child.r_max) == (4.0, 1, 4.0)
-        assert root.visits == 1 and root.q_sum == 4.0
+        root.r_min[0] = math.inf
+        backup(root, 0, 4.0)
+        assert (root.q_sum[0], root.visits[0], root.r_max[0]) == (4.0, 1, 4.0)
+        assert root.total == 1 and sum(root.q_sum) == 4.0
 
     def test_two_backups_accumulate(self):
         root = make_root([(0.0, 0, -math.inf)], parent_visits=0)
-        child = root.children[0]
-        child.r_min = math.inf
-        backup(child, 3.0)
-        backup(child, 5.0)
-        assert child.q_sum == 8.0
-        assert child.visits == 2
-        assert child.r_max == 5.0
-        assert child.r_min == 3.0
+        root.r_min[0] = math.inf
+        backup(root, 0, 3.0)
+        backup(root, 0, 5.0)
+        assert root.q_sum[0] == 8.0
+        assert root.visits[0] == 2
+        assert root.r_max[0] == 5.0
+        assert root.r_min[0] == 3.0
 
     def test_root_visits_equals_sum_of_children(self):
         root = make_root([(0.0, 0, -math.inf)] * 3, parent_visits=0)
         rng = random.Random(1)
         for _ in range(50):
-            backup(root.children[rng.randrange(3)], rng.random())
-        assert root.visits == sum(c.visits for c in root.children) == 50
+            backup(root, rng.randrange(3), rng.random())
+        assert root.total == sum(root.visits) == 50
 
 
 class TestRank:
@@ -186,14 +180,14 @@ class TestSelectBestChild:
     def test_mean_rule(self):
         root = make_root([(1.0, 1, 1.0), (3.0, 1, 3.0)])
         chosen = select_best_child(root, ExploitRule.MEAN_Q, random.Random(0))
-        assert chosen is root.children[1]
+        assert chosen == 1
 
     def test_significance_rule_takes_max_statistic(self):
         # means 5, 2 but maxes 6, 9: the projected significance score is the
         # max statistic, so the second child wins
         root = make_root([(10.0, 2, 6.0), (4.0, 2, 9.0)])
         chosen = select_best_child(root, ExploitRule.SIGNIFICANCE, random.Random(0))
-        assert chosen is root.children[1]
+        assert chosen == 1
 
     def test_significance_equals_projected_operator(self):
         rng = random.Random(11)
@@ -205,14 +199,14 @@ class TestSelectBestChild:
                 rewards = [rng.randint(0, 10) for _ in range(visits)]
                 stats.append((float(sum(rewards)), visits, float(max(rewards))))
             root = make_root(stats)
-            means = [c.q_sum / c.visits for c in root.children]
-            maxes = [c.r_max for c in root.children]
+            means = [q / v for q, v in zip(root.q_sum, root.visits)]
+            maxes = list(root.r_max)
             sig = significance(means, maxes)
             projected = [maxes[i] for i in range(k)]  # Proj maps both branches to maxes
             best = max(projected)
             eligible = {i for i, v in enumerate(projected) if v == best}
             chosen = select_best_child(root, ExploitRule.SIGNIFICANCE, rng)
-            assert root.children.index(chosen) in eligible
+            assert chosen in eligible
             # the operator output never leaves the {mean, max} pair per child
             for i, value in enumerate(sig):
                 assert value in (means[i], maxes[i])
@@ -223,7 +217,7 @@ class TestSelectBestChild:
         counts = Counter()
         draws = 10_000
         for _ in range(draws):
-            counts[id(select_best_child(root, ExploitRule.MEAN_Q, rng))] += 1
+            counts[select_best_child(root, ExploitRule.MEAN_Q, rng)] += 1
         for count in counts.values():
             assert abs(count / draws - 0.5) < 0.02
 
@@ -333,10 +327,24 @@ class TestSolve:
             res = solve(f, cls, SolverConfig(seed=rng.randint(0, 999), keep_trees=True))
             assert len(res.level_roots) == f.num_vars
             for root in res.level_roots:
-                assert root.visits == sum(c.visits for c in root.children)
-                for node in [root] + root.children:
-                    mean = node.q_sum / node.visits
-                    assert node.r_min - 1e-9 <= mean <= node.r_max + 1e-9
+                assert root.total == sum(root.visits)
+                nodes = [(sum(root.q_sum), root.total, min(root.r_min), max(root.r_max))]
+                nodes += zip(root.q_sum, root.visits, root.r_min, root.r_max)
+                for q_sum, visits, r_min, r_max in nodes:
+                    mean = q_sum / visits
+                    assert r_min - 1e-9 <= mean <= r_max + 1e-9
+
+    @pytest.mark.parametrize("top", [2**62, 2**64])
+    def test_weights_beyond_int64_are_exact(self, top):
+        # two hard clauses of weight top: the optimum 2 * top overflows int64
+        f = parse_wcnf(f"p wcnf 2 3 {top}\n{top} 1 0\n{top} 2 0\n1 -1 -2 0\n")
+        cls = classify(f)
+        truth = brute_force(f, cls)
+        res = solve(f, cls, SolverConfig(seed=1))
+        assert truth.optimum == 2 * top
+        assert res.objective == truth.optimum
+        assert res.hard_violations == ()
+        assert res.assignment in truth.optimal_set
 
     def test_matches_oracle_on_small_unweighted(self):
         rng = random.Random(500)
