@@ -9,6 +9,7 @@ literals.  The objective is the w-weighted sum of satisfied rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,9 +83,15 @@ def checked_weights(f: Formula, problem_class: ProblemClass) -> list[int]:
     return objective_weights(f, problem_class)
 
 
-def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
-    """Build the (w, a_y, b) reduction; raises like ``checked_weights``."""
-    weights = checked_weights(f, problem_class)
+class ClauseRows(NamedTuple):
+    """The row constraints' coefficient matrix a_y and negation counts b."""
+
+    a_y: np.ndarray
+    b: np.ndarray
+
+
+def clause_rows(f: Formula) -> ClauseRows:
+    """The rows of ``f``, without the weights ``to_blp`` adds."""
     m, n = f.num_clauses, f.num_vars
     a_y = np.zeros((m, n), dtype=np.int64)
     b = np.zeros(m, dtype=np.int64)
@@ -95,8 +102,19 @@ def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
                 b[j] += 1
             else:
                 a_y[j, lit.var - 1] += 1
-    w = np.asarray(weights, dtype=np.int64).reshape(m)
-    return BlpProblem(_frozen(w), _frozen(a_y), _frozen(b))
+    return ClauseRows(_frozen(a_y), _frozen(b))
+
+
+def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
+    """Build the (w, a_y, b) reduction; raises like ``checked_weights``, and
+    ``ValueError`` for a weight above the int64 limit of ``w``."""
+    weights = checked_weights(f, problem_class)
+    try:
+        w = np.asarray(weights, dtype=np.int64).reshape(f.num_clauses)
+    except OverflowError:
+        limit = np.iinfo(np.int64).max
+        raise ValueError(f"clause weights above the int64 limit {limit} do not fit w") from None
+    return BlpProblem(_frozen(w), *clause_rows(f))
 
 
 def to_tableaux(p: BlpProblem) -> SatTableaux:
@@ -105,9 +123,14 @@ def to_tableaux(p: BlpProblem) -> SatTableaux:
     return SatTableaux(p.w, p.a_y, _frozen(y))
 
 
-def satisfied_mask(p: BlpProblem, y: np.ndarray) -> np.ndarray:
+def satisfied_mask(p: BlpProblem | ClauseRows, y: np.ndarray) -> np.ndarray:
     """Boolean per-clause satisfaction of a full assignment via the row test."""
     return (p.a_y @ y + p.b) >= 1
+
+
+def exact_value(weights: list[int], sat: np.ndarray) -> int:
+    """Weight of the satisfied clauses, summed exactly as Python ints."""
+    return sum(w for w, s in zip(weights, sat.tolist()) if s)
 
 
 @dataclass(frozen=True)
@@ -119,13 +142,13 @@ class ObjectiveResult:
 
 def objective(f: Formula, problem_class: ProblemClass, y) -> ObjectiveResult:
     """Weighted satisfied sum of a complete assignment, with the per-clause
-    satisfaction mask and the indices of violated hard clauses."""
+    satisfaction mask and the indices of violated hard clauses.  The sum is
+    exact for any weight."""
     arr = np.asarray(y)
     if arr.shape != (f.num_vars,) or not (((arr == 0) | (arr == 1)).all()):
         raise ValueError("assignment must be a complete 0/1 vector of length n")
-    p = to_blp(f, problem_class)
-    sat = satisfied_mask(p, arr.astype(np.int64))
-    value = int(p.w[sat].sum())
+    sat = satisfied_mask(clause_rows(f), arr.astype(np.int64))
+    value = exact_value(checked_weights(f, problem_class), sat)
     hard_violations = tuple(
         int(j) for j in np.flatnonzero(~sat) if f.clauses[j].hard
     )

@@ -6,13 +6,20 @@ bandit over the 2(n - k) actions of its state, kept as per-arm lists in
 rest of its budget on arms drawn from the soft-max-relaxed UCT eligible set,
 commits the best arm, and the next level starts afresh from that state.
 
+The UCT value of an arm (UCB1) is mean + c * sqrt(2 ln N / v), with N the
+level's visits and v the arm's.  It is evaluated factored, as
+mean + s * rad with the per-call scalar s = c * sqrt(2 ln N) and the
+per-arm rad = 1 / sqrt(v).  Each arm's mean and rad are cached on the level
+and rewritten by ``backup``, for the one arm it touches, so a selection
+costs one multiply-add per arm.
+
 Episodes are scored by ``EpisodeKernel``, built once per solve.  Assignments
 are ints with bit v set when variable v + 1 is 1; clause sets are ints with
 bit j for clause j; ``lit[v][b]`` holds the clauses satisfied by v + 1 = b.
 A 256-entry table per byte of variables maps that byte of a full assignment
 to the union of its literals' sets, so scoring takes ceil(n / 8) lookups.  A
-set's weight is the sum of 2^b * popcount(set & plane_b) over the weights'
-bit planes: exact integer arithmetic for any weight.
+set's weight is its popcount for unit weights, else the sum of its clauses'
+weights over its set bits: exact integer arithmetic for any weight.
 
 A uniform rollout draws one of the 2(n - k) remaining actions per step, so
 each free variable ends up a fair bit, independent of the others and of the
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .blp import checked_weights
@@ -60,7 +67,14 @@ class SolverConfig:
 @dataclass
 class LevelStats:
     """One level's bandit: per-arm visit counts, reward sums and reward
-    extremes in ``actions`` order, plus the level's total visit count."""
+    extremes in ``actions`` order, plus the level's total visit count.
+
+    ``mean`` (q_sum / visits) and ``rad`` (1 / sqrt(visits)) cache each arm's
+    part of its UCT value; an unvisited arm holds inf in both, so its UCT
+    value is inf, which the selection rules refuse.  They are derived from
+    the other lists on construction, and afterwards ``backup`` is their only
+    writer: writing ``visits`` or ``q_sum`` directly leaves them stale.
+    """
 
     actions: tuple[Action, ...]
     visits: list[int]
@@ -68,6 +82,12 @@ class LevelStats:
     r_max: list[float]
     r_min: list[float]
     total: int = 0
+    mean: list[float] = field(init=False)
+    rad: list[float] = field(init=False)
+
+    def __post_init__(self):
+        self.mean = [q / v if v else math.inf for q, v in zip(self.q_sum, self.visits)]
+        self.rad = [1.0 / math.sqrt(v) if v else math.inf for v in self.visits]
 
     @classmethod
     def fresh(cls, actions) -> "LevelStats":
@@ -75,9 +95,11 @@ class LevelStats:
         return cls(tuple(actions), [0] * k, [0.0] * k, [-math.inf] * k, [math.inf] * k)
 
     def frozen(self) -> "LevelStats":
-        """Read-only snapshot, the per-arm lists as tuples."""
+        """Read-only snapshot, the per-arm lists and caches as tuples."""
         arrays = ("visits", "q_sum", "r_max", "r_min")
-        return replace(self, **{name: tuple(getattr(self, name)) for name in arrays})
+        snap = replace(self, **{name: tuple(getattr(self, name)) for name in arrays})
+        snap.mean, snap.rad = tuple(self.mean), tuple(self.rad)
+        return snap
 
 
 @dataclass(frozen=True)
@@ -99,11 +121,13 @@ class SolveResult:
 
 
 def uct_value(level: LevelStats, arm: int, c: float) -> float:
-    """Mean reward plus the exploration bonus c * sqrt(2 ln N_level / N_arm)."""
-    v = level.visits[arm]
-    if v < 1 or level.total < 1:
+    """Mean reward plus the exploration bonus c * sqrt(2 ln N_level / N_arm),
+    evaluated as mean + (c * sqrt(2 ln N_level)) * rad from the arm's cached
+    mean and rad, as ``exploration_eligible`` evaluates it."""
+    if level.visits[arm] < 1 or level.total < 1:
         raise ValueError("uct_value requires visits on both the level and the arm")
-    return level.q_sum[arm] / v + c * math.sqrt(2.0 * math.log(level.total) / v)
+    s = c * math.sqrt(2.0 * math.log(level.total))
+    return level.mean[arm] + s * level.rad[arm]
 
 
 def soft_threshold(values, alpha: float) -> float:
@@ -116,16 +140,22 @@ def soft_threshold(values, alpha: float) -> float:
 
 
 def exploration_eligible(level: LevelStats, cfg: SolverConfig) -> list[int]:
-    """Arms whose UCT value (as ``uct_value``) reaches the soft threshold."""
+    """Arms whose UCT value (as ``uct_value``) reaches the soft threshold.
+    Every arm must have a visit."""
     if not level.visits:
         raise ValueError("level has no arms")
-    c, sqrt = cfg.uct_c, math.sqrt
-    log_term = 2.0 * math.log(level.total)
-    ucts = [q / v + c * sqrt(log_term / v) for q, v in zip(level.q_sum, level.visits)]
+    s = cfg.uct_c * math.sqrt(2.0 * math.log(level.total))
+    # with no bonus the values are the means: 0 * inf would turn an unvisited
+    # arm's value into nan, which no comparison catches
+    ucts = [m + s * r for m, r in zip(level.mean, level.rad)] if s else level.mean
     hi = max(ucts)
-    # the threshold is a convex combination, so mathematically <= hi; clamp
-    # to guard against it landing one rounding step above
-    thr = min((1.0 - cfg.alpha) * min(ucts) + cfg.alpha * hi, hi)
+    if hi == math.inf:
+        raise ValueError("every arm needs a visit")
+    thr = (1.0 - cfg.alpha) * min(ucts) + cfg.alpha * hi
+    # a convex combination, so mathematically <= hi; it can round one step
+    # above (alpha 0.9 over equal values), which would leave no arm eligible
+    if thr > hi:
+        thr = hi
     return [i for i, u in enumerate(ucts) if u >= thr]
 
 
@@ -136,10 +166,13 @@ def select_exploration_child(level: LevelStats, cfg: SolverConfig, rng) -> int:
 
 
 def backup(level: LevelStats, arm: int, reward: float) -> None:
-    """Add the episode reward to the arm and one visit to the level."""
+    """Add the episode reward to the arm and one visit to the level, and
+    rewrite the arm's cached mean and radius: their only writer."""
     level.total += 1
-    level.visits[arm] += 1
-    level.q_sum[arm] += reward
+    v = level.visits[arm] = level.visits[arm] + 1
+    q = level.q_sum[arm] = level.q_sum[arm] + reward
+    level.mean[arm] = q / v
+    level.rad[arm] = 1.0 / math.sqrt(v)
     if reward > level.r_max[arm]:
         level.r_max[arm] = reward
     if reward < level.r_min[arm]:
@@ -177,10 +210,12 @@ def select_best_child(level: LevelStats, rule: ExploitRule, rng: random.Random) 
     if not level.visits:
         raise ValueError("level has no arms")
     if rule is ExploitRule.MEAN_Q:
-        scores = [q / v for q, v in zip(level.q_sum, level.visits)]
+        scores = level.mean
     else:
         scores = level.r_max
     best = max(scores)
+    if best == math.inf:
+        raise ValueError("every arm needs a visit")
     ties = [i for i, s in enumerate(scores) if s == best]
     return ties[rng.randrange(len(ties))]
 
@@ -273,11 +308,15 @@ class EpisodeKernel:
         if all(w == 1 for w in weights):
             self.wsum = int.bit_count
         else:
-            planes = [
-                (b, sum(1 << j for j, w in enumerate(weights) if w >> b & 1))
-                for b in range(max(weights).bit_length())
-            ]
-            self.wsum = lambda s: sum((s & p).bit_count() << b for b, p in planes)
+            def wsum(s: int) -> int:
+                total = 0
+                while s:
+                    low = s & -s
+                    total += weights[low.bit_length() - 1]
+                    s ^= low
+                return total
+
+            self.wsum = wsum
         # step s has the coefficient (n + 1 - s) / n in both r1 and r2
         self.coef = [0.0] + [(n + 1 - s) / n for s in range(1, n + 1)]
 

@@ -14,7 +14,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blp import UNASSIGNED, to_blp, to_tableaux, SatTableaux
+from .blp import (
+    UNASSIGNED,
+    SatTableaux,
+    checked_weights,
+    clause_rows,
+    exact_value,
+    satisfied_mask,
+    to_blp,
+    to_tableaux,
+)
 from .instances import Formula, ProblemClass
 
 
@@ -124,13 +133,10 @@ class EpisodeScorer:
     """
 
     def __init__(self, f: Formula, problem_class: ProblemClass):
-        blp = to_blp(f, problem_class)
         self.num_vars = f.num_vars
         self.num_clauses = f.num_clauses
-        self.a_y = blp.a_y
-        self.b = blp.b
-        self.w = blp.w
-        self._weights = blp.w.tolist()
+        self.rows = clause_rows(f)
+        self._weights = checked_weights(f, problem_class)
         self._formula = f
         sat_if_one: list[list[int]] = [[] for _ in range(f.num_vars + 1)]
         sat_if_zero: list[list[int]] = [[] for _ in range(f.num_vars + 1)]
@@ -140,9 +146,8 @@ class EpisodeScorer:
         self._sat_if = (sat_if_zero, sat_if_one)
 
     def terminal_value(self, y: np.ndarray) -> int:
-        """Weighted satisfied sum of a full assignment."""
-        sat = (self.a_y @ y + self.b) >= 1
-        return int(self.w[sat].sum())
+        """Weighted satisfied sum of a full assignment, exact in Python ints."""
+        return exact_value(self._weights, satisfied_mask(self.rows, y))
 
     def partial_values(self, episode: Episode) -> list[int]:
         """Partial objectives v_d..v_n along the episode, d = starting depth."""

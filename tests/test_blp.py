@@ -9,6 +9,7 @@ import pytest
 
 from mctsat import (
     Clause,
+    EpisodeScorer,
     Formula,
     Literal,
     ProblemClass,
@@ -82,6 +83,13 @@ class TestMatrixConstruction:
 
 
 class TestWeightRules:
+    def test_weight_beyond_int64_rejected_by_name(self):
+        top = 2**64
+        f = parse_wcnf(f"p wcnf 2 3 {top}\n{top} 1 0\n{top} 2 0\n1 -1 -2 0\n")
+        with pytest.raises(ValueError, match="int64 limit 9223372036854775807"):
+            to_blp(f, classify(f))
+        assert to_blp(f, ProblemClass.MAXSAT).w.tolist() == [1, 1, 1]
+
     def test_maxsat_all_ones(self):
         f = parse_wcnf("p wcnf 2 2\n1 1 0\n1 2 0\n")
         assert to_blp(f, ProblemClass.MAXSAT).w.tolist() == [1, 1]
@@ -157,6 +165,17 @@ class TestObjective:
             objective(f, ProblemClass.MAXSAT, [1])
         with pytest.raises(ValueError):
             objective(f, ProblemClass.MAXSAT, [1, 2])
+
+    @pytest.mark.parametrize("top", [2**62, 2**64])
+    def test_weights_beyond_int64_are_exact(self, top):
+        # two hard clauses of weight top: the optimum 2 * top overflows int64
+        f = parse_wcnf(f"p wcnf 2 3 {top}\n{top} 1 0\n{top} 2 0\n1 -1 -2 0\n")
+        cls = classify(f)
+        res = objective(f, cls, (1, 1))
+        assert res.value == 2 * top
+        assert res.satisfied == (True, True, False)
+        assert res.hard_violations == ()
+        assert EpisodeScorer(f, cls).terminal_value(np.array([1, 1])) == 2 * top
 
     def test_matches_direct_walk_on_random_pairs(self):
         rng = random.Random(99)

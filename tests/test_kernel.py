@@ -9,9 +9,11 @@ import pytest
 
 from mctsat import (
     Action,
+    Clause,
     Episode,
     EpisodeScorer,
     Formula,
+    Literal,
     ProblemClass,
     RewardKind,
     SolverConfig,
@@ -48,6 +50,23 @@ def test_value_and_mask_match_objective(n):
             truth = objective(f, cls, y)
             assert value == truth.value
             assert tuple(bool(sat >> j & 1) for j in range(f.num_clauses)) == truth.satisfied
+
+
+def test_weight_sum_is_exact():
+    rng = random.Random(64)
+    for weights in (
+        [1] * 40,
+        [rng.randint(0, 1000) for _ in range(40)],
+        [2**64, 2**64 + 1, 2**63, 3] + [rng.randint(1, 2**70) for _ in range(36)],
+    ):
+        clauses = tuple(
+            Clause((Literal(rng.randint(1, 5), rng.random() < 0.5),), w) for w in weights
+        )
+        kernel = EpisodeKernel(Formula(5, clauses), ProblemClass.WEIGHTED_MAXSAT)
+        for _ in range(200):
+            s = sum(1 << j for j in rng.sample(range(40), rng.randint(0, 40)))
+            exact = sum(w for j, w in enumerate(weights) if s >> j & 1)
+            assert kernel.wsum(s) == exact
 
 
 def reference_episode(f, cls, order, bits):

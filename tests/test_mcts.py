@@ -144,6 +144,76 @@ class TestBackup:
         assert root.total == sum(root.visits) == 50
 
 
+def backed_up_level(rng, k, episodes):
+    """Fresh level of k arms after one backup per arm and ``episodes`` more
+    on random arms, with random rewards."""
+    level = LevelStats.fresh([Action(i // 2 + 1, i % 2) for i in range(k)])
+    for arm in list(range(k)) + [rng.randrange(k) for _ in range(episodes)]:
+        backup(level, arm, rng.uniform(0.0, 100.0))
+    return level
+
+
+class TestArmCaches:
+    def test_backup_keeps_caches_exact(self):
+        rng = random.Random(31)
+        level = LevelStats.fresh([Action(i // 2 + 1, i % 2) for i in range(6)])
+        assert level.mean == level.rad == [math.inf] * 6
+        for _ in range(300):
+            backup(level, rng.randrange(6), rng.choice([0.0, 1.0, rng.uniform(0, 91)]))
+            for i, v in enumerate(level.visits):
+                if v:
+                    assert level.mean[i] == level.q_sum[i] / v
+                    assert level.rad[i] == 1 / math.sqrt(v)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.5])
+    def test_eligible_matches_uct_value(self, c):
+        rng = random.Random(int(10 * c))
+        for _ in range(200):
+            level = backed_up_level(rng, rng.randint(1, 40), rng.randint(0, 200))
+            alpha = rng.choice([0.0, 0.5, 0.9, 1.0, rng.random()])
+            values = [uct_value(level, i, c) for i in range(len(level.visits))]
+            thr = min(soft_threshold(values, alpha), max(values))
+            expected = [i for i, u in enumerate(values) if u >= thr]
+            assert exploration_eligible(level, SolverConfig(alpha=alpha, uct_c=c)) == expected
+
+    def test_direct_construction_derives_caches(self):
+        root = make_root([(10.0, 2, 6.0), (4.0, 4, 1.0), (0.0, 0, -math.inf)], parent_visits=6)
+        assert root.mean == [5.0, 1.0, math.inf]
+        assert root.rad == [1 / math.sqrt(2), 0.5, math.inf]
+        assert uct_value(root, 0, 1.0) == 5.0 + math.sqrt(2 * math.log(6)) * (1 / math.sqrt(2))
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_unvisited_arm_rejected(self, c):
+        for visits, total in (([1, 0, 1], 2), ([1, 0], 1)):
+            level = LevelStats.fresh([Action(i // 2 + 1, i % 2) for i in range(len(visits))])
+            for arm, v in enumerate(visits):
+                for _ in range(v):
+                    backup(level, arm, 3.0)
+            assert level.total == total
+            with pytest.raises(ValueError, match="every arm needs a visit"):
+                exploration_eligible(level, SolverConfig(alpha=0.5, uct_c=c))
+            with pytest.raises(ValueError, match="every arm needs a visit"):
+                select_best_child(level, ExploitRule.MEAN_Q, random.Random(0))
+
+    def test_frozen_snapshot_is_read_only(self):
+        level = backed_up_level(random.Random(4), 4, 20)
+        snap = level.frozen()
+        assert snap.mean == tuple(level.mean) and snap.rad == tuple(level.rad)
+        for name in ("visits", "q_sum", "r_max", "r_min", "mean", "rad"):
+            with pytest.raises(TypeError):
+                getattr(snap, name)[0] = 0
+        first = (snap.visits[0], snap.q_sum[0], snap.mean[0], snap.rad[0])
+        backup(level, 0, 1.0)
+        assert (snap.visits[0], snap.q_sum[0], snap.mean[0], snap.rad[0]) == first
+
+    def test_solve_snapshots_are_read_only(self):
+        f = generate_random(5, 12, 3, seed=8)
+        res = solve(f, ProblemClass.MAXSAT, SolverConfig(seed=2, keep_trees=True))
+        for root in res.level_roots:
+            assert isinstance(root.mean, tuple) and isinstance(root.rad, tuple)
+            assert root.mean == tuple(q / v for q, v in zip(root.q_sum, root.visits))
+
+
 class TestRank:
     def test_example(self):
         assert rank([5, 1, 3]) == [3, 1, 2]
