@@ -10,8 +10,22 @@ The UCT value of an arm (UCB1) is mean + c * sqrt(2 ln N / v), with N the
 level's visits and v the arm's.  It is evaluated factored, as
 mean + s * rad with the per-call scalar s = c * sqrt(2 ln N) and the
 per-arm rad = 1 / sqrt(v).  Each arm's mean and rad are cached on the level
-and rewritten by ``backup``, for the one arm it touches, so a selection
-costs one multiply-add per arm.
+and rewritten by ``backup``, for the one arm it touches.
+
+``exploration_eligible`` is the reference eligible set: every arm whose value
+reaches (1 - alpha) * min + alpha * max.  ``solve`` draws the same arms from
+``exploration_arms``, which evaluates only the arms that can decide a draw.
+It takes the draws in stretches of ``STRETCH``; s_lo and s_hi are the least
+and greatest s of the stretch.  Each arm gets lower = mean + s_lo * rad and
+upper = mean + s_hi * rad.  IEEE rounding is monotone and rad > 0, so
+s_lo <= s <= s_hi gives lower <= mean + s * rad <= upper in floating point
+too, exactly, for either sign of c.  The bounds hold for an arm until it is
+drawn, and only *hot* arms are drawn.  The hot arms are evaluated per draw;
+the exact min is found by scanning the arms in ascending lower until a lower
+exceeds it; then, while the greatest upper left cold reaches the threshold,
+that arm turns hot.  Every cold arm is then below the threshold and below
+the hot max, so min, max, threshold and the eligible list (the hot arms that
+reach it, in index order) are the reference's, bit for bit.
 
 Episodes are scored by ``EpisodeKernel``, built once per solve.  Assignments
 are ints with bit v set when variable v + 1 is 1; clause sets are ints with
@@ -34,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -131,12 +146,17 @@ def uct_value(level: LevelStats, arm: int, c: float) -> float:
 
 
 def soft_threshold(values, alpha: float) -> float:
-    """(1 - alpha) * min + alpha * max of a non-empty value list."""
+    """(1 - alpha) * min + alpha * max of a non-empty value list, clamped
+    to the max."""
     if len(values) == 0:
         raise ValueError("soft_threshold of an empty list")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return (1.0 - alpha) * min(values) + alpha * max(values)
+    hi = max(values)
+    thr = (1.0 - alpha) * min(values) + alpha * hi
+    # a convex combination, so mathematically <= hi; it can round one step
+    # above (alpha 0.9 over equal values), which would leave no value reaching it
+    return hi if thr > hi else thr
 
 
 def exploration_eligible(level: LevelStats, cfg: SolverConfig) -> list[int]:
@@ -148,14 +168,9 @@ def exploration_eligible(level: LevelStats, cfg: SolverConfig) -> list[int]:
     # with no bonus the values are the means: 0 * inf would turn an unvisited
     # arm's value into nan, which no comparison catches
     ucts = [m + s * r for m, r in zip(level.mean, level.rad)] if s else level.mean
-    hi = max(ucts)
-    if hi == math.inf:
+    if max(ucts) == math.inf:
         raise ValueError("every arm needs a visit")
-    thr = (1.0 - cfg.alpha) * min(ucts) + cfg.alpha * hi
-    # a convex combination, so mathematically <= hi; it can round one step
-    # above (alpha 0.9 over equal values), which would leave no arm eligible
-    if thr > hi:
-        thr = hi
+    thr = soft_threshold(ucts, cfg.alpha)
     return [i for i, u in enumerate(ucts) if u >= thr]
 
 
@@ -163,6 +178,66 @@ def select_exploration_child(level: LevelStats, cfg: SolverConfig, rng) -> int:
     """Uniform draw from the soft-max eligible arms."""
     eligible = exploration_eligible(level, cfg)
     return eligible[rng.randrange(len(eligible))]
+
+
+STRETCH = 48  # draws per set of bounds
+
+
+def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
+    """Yield ``episodes`` arms, each the arm ``select_exploration_child``
+    would draw at that point, from the same ``rng.randrange`` calls.  The
+    caller must ``backup`` each yielded arm before asking for the next.
+
+    Each arm's value is bounded per stretch and computed only when its
+    bounds can decide the draw (see the module docstring).
+    """
+    if not level.visits:
+        raise ValueError("level has no arms")
+    alpha = cfg.alpha
+    mean, rad = level.mean, level.rad
+    k = len(rad)
+    total = level.total
+    while episodes > 0:
+        if math.inf in rad:
+            raise ValueError("every arm needs a visit")
+        n = min(episodes, STRETCH)
+        episodes -= n
+        ss = [cfg.uct_c * math.sqrt(2.0 * math.log(t)) for t in range(total, total + n)]
+        total += n
+        s_lo, s_hi = min(ss), max(ss)
+        lower = [m + s_lo * r for m, r in zip(mean, rad)]
+        upper = [m + s_hi * r for m, r in zip(mean, rad)]
+        by_lower = sorted(range(k), key=lower.__getitem__)
+        by_upper = sorted(range(k), key=upper.__getitem__, reverse=True)
+        hot, h = [by_upper[0]], 1  # hot: by_upper[:h] in index order
+        for s in ss:
+            us = [mean[a] + s * rad[a] for a in hot]
+            lo = min(us)
+            # the exact min: arms past the first lower above lo are above lo
+            for a in by_lower:
+                if lower[a] > lo:
+                    break
+                u = mean[a] + s * rad[a]
+                if u < lo:
+                    lo = u
+            hi = max(us)
+            while True:
+                thr = (1.0 - alpha) * lo + alpha * hi  # as soft_threshold
+                if thr > hi:
+                    thr = hi
+                # an arm left cold has its value <= upper < thr <= hi
+                if h == k or upper[by_upper[h]] < thr:
+                    break
+                a = by_upper[h]
+                h += 1
+                u = mean[a] + s * rad[a]
+                i = bisect(hot, a)
+                hot.insert(i, a)
+                us.insert(i, u)
+                if u > hi:
+                    hi = u
+            eligible = [a for a, u in zip(hot, us) if u >= thr]
+            yield eligible[rng.randrange(len(eligible))]
 
 
 def backup(level: LevelStats, arm: int, reward: float) -> None:
@@ -379,8 +454,10 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     """
     if not 0.0 <= cfg.alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {cfg.alpha}")
-    if cfg.explore_factor <= 0:
-        raise ValueError("explore_factor must be positive")
+    if not 0 < cfg.explore_factor < math.inf:
+        raise ValueError(f"explore_factor must be positive and finite, got {cfg.explore_factor}")
+    if not math.isfinite(cfg.uct_c):  # the bounds of exploration_arms need a finite s
+        raise ValueError(f"uct_c must be finite, got {cfg.uct_c}")
     n, m = f.num_vars, f.num_clauses
     if n == 0:
         raise ValueError("formula has no variables")
@@ -425,8 +502,7 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
         budget = max(nominal, len(arms) + 1)
         for arm in range(len(arms)):
             backup(level, arm, episode(arm))
-        for _ in range(budget - len(arms)):
-            arm = select_exploration_child(level, cfg, rng)
+        for arm in exploration_arms(level, cfg, rng, budget - len(arms)):
             backup(level, arm, episode(arm))
         y, rest, _, point = arms[select_best_child(level, cfg.exploit_rule, rng)]
         free = sorted(rest)

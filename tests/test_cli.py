@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mctsat
 from mctsat.cli import main
 
 TIME_COLUMNS = {"wall_ms", "mean_wall_ms"}
@@ -127,6 +132,30 @@ class TestExitCodes:
         rows = read_csv(out)
         assert rows[0] == ["instance", "class", "solver_objective", "oracle_optimum", "match"]
         assert any(row[-1] == "0" for row in rows[1:])
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--explore-factor", "inf", "explore_factor"),
+            ("--uct-c", "nan", "uct_c"),
+            ("--uct-c", "inf", "uct_c"),
+        ],
+    )
+    def test_non_finite_search_knob_is_1(self, flag, value, field):
+        fixture = Path(__file__).parent / "data" / "uf20" / "uf20-01.cnf"
+        src = str(Path(mctsat.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mctsat.cli", str(fixture), f"{flag}={value}"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert field in proc.stderr
 
     def test_oracle_guard_is_1(self, tmp_path, capsys):
         cnf = tmp_path / "big.cnf"

@@ -1,6 +1,7 @@
 """Engine units: UCT, thresholds, selection, backup, rank/significance,
 theory budgets, and end-to-end solves against the oracle."""
 
+import copy
 import math
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from mctsat import (
     brute_force,
     classify,
     derive_seed,
+    exploration_arms,
     exploration_eligible,
     generate_random,
     objective,
@@ -31,6 +33,7 @@ from mctsat import (
     theory_budgets,
     uct_value,
 )
+from mctsat.mcts import STRETCH
 
 
 def make_root(child_stats, parent_visits=None):
@@ -78,6 +81,12 @@ class TestSoftThreshold:
     def test_alpha_one_is_max(self):
         assert soft_threshold([3.0, 7.0, 5.0], 1.0) == 7.0
 
+    def test_clamped_to_max(self):
+        # (1 - a) * x + a * x rounds one step above x here
+        x, a = 49.45826703752868, 0.31205824641687296
+        assert (1 - a) * x + a * x > x
+        assert soft_threshold([x, x], a) == x
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold([], 0.5)
@@ -116,6 +125,52 @@ class TestExplorationSelection:
         root = make_root([])
         with pytest.raises(ValueError):
             select_exploration_child(root, SolverConfig(), random.Random(0))
+        with pytest.raises(ValueError):
+            next(exploration_arms(root, SolverConfig(), random.Random(0), 1))
+
+
+class TestExplorationArms:
+    """``exploration_arms`` against ``select_exploration_child`` on two
+    copies of a level, each draw backed up with the same reward."""
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.5, -1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
+    def test_draws_match_reference(self, c, alpha):
+        rng = random.Random(f"{c} {alpha}")
+        cfg = SolverConfig(alpha=alpha, uct_c=c)
+        for episodes in (1, STRETCH - 1, STRETCH, STRETCH + 1, 3 * STRETCH + 7):
+            for tied in (True, False):
+                k = rng.randint(2, 40)
+
+                def reward():
+                    return float(rng.randrange(3)) if tied else rng.uniform(0.0, 91.0)
+
+                ref = LevelStats.fresh([Action(i // 2 + 1, i % 2) for i in range(k)])
+                for arm in list(range(k)) + [rng.randrange(k) for _ in range(rng.randrange(60))]:
+                    backup(ref, arm, reward())
+                fast = copy.deepcopy(ref)
+                seed = rng.random()
+                ref_rng, fast_rng = random.Random(seed), random.Random(seed)
+                drawn, expected = [], []
+                for arm in exploration_arms(fast, cfg, fast_rng, episodes):
+                    expected.append(select_exploration_child(ref, cfg, ref_rng))
+                    drawn.append(arm)
+                    r = reward()
+                    backup(ref, expected[-1], r)
+                    backup(fast, arm, r)
+                assert drawn == expected and len(drawn) == episodes
+                assert fast == ref
+                assert fast_rng.getstate() == ref_rng.getstate()
+
+    def test_equal_values_keep_every_arm_eligible(self):
+        # the unclamped threshold lies one step above these equal values
+        x, alpha = 49.45826703752868, 0.31205824641687296
+        level = LevelStats.fresh([Action(i // 2 + 1, i % 2) for i in range(4)])
+        for arm in range(4):
+            backup(level, arm, x)
+        cfg = SolverConfig(alpha=alpha, uct_c=0.0)
+        assert exploration_eligible(level, cfg) == [0, 1, 2, 3]
+        assert next(exploration_arms(level, cfg, random.Random(3), 1)) in range(4)
 
 
 class TestBackup:
@@ -192,6 +247,8 @@ class TestArmCaches:
             assert level.total == total
             with pytest.raises(ValueError, match="every arm needs a visit"):
                 exploration_eligible(level, SolverConfig(alpha=0.5, uct_c=c))
+            with pytest.raises(ValueError, match="every arm needs a visit"):
+                next(exploration_arms(level, SolverConfig(alpha=0.5, uct_c=c), random.Random(0), 1))
             with pytest.raises(ValueError, match="every arm needs a visit"):
                 select_best_child(level, ExploitRule.MEAN_Q, random.Random(0))
 
@@ -388,6 +445,21 @@ class TestSolve:
             solve(f, ProblemClass.MAXSAT, SolverConfig(alpha=1.5))
         with pytest.raises(ValueError):
             solve(f, ProblemClass.MAXSAT, SolverConfig(explore_factor=0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("uct_c", math.nan),
+            ("uct_c", math.inf),
+            ("uct_c", -math.inf),
+            ("explore_factor", math.inf),
+            ("explore_factor", math.nan),
+        ],
+    )
+    def test_non_finite_config_rejected_by_name(self, field, value):
+        f = parse_cnf("p cnf 2 2\n1 2 0\n-1 0\n")
+        with pytest.raises(ValueError, match=field):
+            solve(f, ProblemClass.MAXSAT, SolverConfig(**{field: value}))
 
     def test_tree_accounting_invariants(self):
         rng = random.Random(2)
