@@ -4,16 +4,20 @@ Clause j turns into the row constraint ``a_y[j] @ y + b[j] >= 1`` over the
 binary assignment vector y, where a_y[j][i] is the net count of positive minus
 negated occurrences of variable i in clause j and b[j] counts the negated
 literals.  The objective is the w-weighted sum of satisfied rows.
+
+numpy is imported only inside the functions that build or read this matrix
+view, so the search, which scores on int bitsets, runs without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .instances import Formula, ProblemClass, check_hard_weight_rule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNASSIGNED = -1
 
@@ -92,6 +96,8 @@ class ClauseRows(NamedTuple):
 
 def clause_rows(f: Formula) -> ClauseRows:
     """The rows of ``f``, without the weights ``to_blp`` adds."""
+    import numpy as np
+
     m, n = f.num_clauses, f.num_vars
     a_y = np.zeros((m, n), dtype=np.int64)
     b = np.zeros(m, dtype=np.int64)
@@ -108,6 +114,8 @@ def clause_rows(f: Formula) -> ClauseRows:
 def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
     """Build the (w, a_y, b) reduction; raises like ``checked_weights``, and
     ``ValueError`` for a weight above the int64 limit of ``w``."""
+    import numpy as np
+
     weights = checked_weights(f, problem_class)
     try:
         w = np.asarray(weights, dtype=np.int64).reshape(f.num_clauses)
@@ -119,6 +127,8 @@ def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
 
 def to_tableaux(p: BlpProblem) -> SatTableaux:
     """State layout with every variable still unassigned."""
+    import numpy as np
+
     y = np.full(p.num_vars, UNASSIGNED, dtype=np.int8)
     return SatTableaux(p.w, p.a_y, _frozen(y))
 
@@ -144,6 +154,8 @@ def objective(f: Formula, problem_class: ProblemClass, y) -> ObjectiveResult:
     """Weighted satisfied sum of a complete assignment, with the per-clause
     satisfaction mask and the indices of violated hard clauses.  The sum is
     exact for any weight."""
+    import numpy as np
+
     arr = np.asarray(y)
     if arr.shape != (f.num_vars,) or not (((arr == 0) | (arr == 1)).all()):
         raise ValueError("assignment must be a complete 0/1 vector of length n")
@@ -157,6 +169,8 @@ def objective(f: Formula, problem_class: ProblemClass, y) -> ObjectiveResult:
 
 def format_blp(p: BlpProblem) -> str:
     """Plain-text dump of (w, a_y, b), one clause row per line."""
+    import numpy as np
+
     width = max(
         (len(str(int(v))) for v in np.concatenate([p.w, p.b, p.a_y.ravel()])),
         default=1,

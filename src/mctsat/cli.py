@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .enumeration import enumerate_optima
 from .instances import (
     Formula,
@@ -64,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mctsat", description=__doc__.split("\n\n")[0])
     p.add_argument("inputs", nargs="+", help="DIMACS files or gen:... specs")
@@ -84,10 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exploit", choices=[r.value for r in ExploitRule], default="mean")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--executions", type=int, default=50, help="runs per instance in enumerate mode"
+        "--executions",
+        type=_count,
+        default=50,
+        help="runs per instance in enumerate mode",
     )
     p.add_argument(
-        "--repeats", type=int, default=20, help="solves per cell in sweep modes"
+        "--repeats", type=_count, default=20, help="solves per cell in sweep modes"
     )
     p.add_argument("--oracle-max-vars", type=int, default=20)
     p.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
@@ -145,7 +157,7 @@ def _load_inputs(args) -> tuple[list[tuple[str, Formula]], bool]:
         path = Path(item)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             sys.stderr.write(f"error: {item}: {exc}\n")
             failed = True
             continue
@@ -190,8 +202,11 @@ def _emit(args, columns, rows_csv, rows_json) -> None:
         payload = "".join(line + "\n" for line in rows_json)
     if args.out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         args.out.write_text(payload)
+    except OSError as exc:
+        raise ValueError(f"{args.out}: {exc.strerror or exc}") from None
 
 
 def _mode_solve(instances, args) -> int:
@@ -305,6 +320,8 @@ def _mode_ablation(instances, args) -> int:
 
 def _iqr_normalizer(values):
     """Clamp-to-[0,1] interquartile normalization over a value population."""
+    import numpy as np
+
     q1, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 75.0])
     if q3 == q1:
         return lambda v: 0.5

@@ -4,15 +4,17 @@ A state is a tableaux plus the count of assigned variables.  Actions assign a
 bit to an unassigned variable; the action space of a state at depth k has
 exactly 2(n - k) members.  An episode is a uniformly random completion of a
 partial assignment down to a leaf.
+
+This is the reference layer the search is checked against; numpy is imported
+only inside the functions that build its states and episodes, so the search
+runs without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .blp import (
     UNASSIGNED,
@@ -25,6 +27,9 @@ from .blp import (
     to_tableaux,
 )
 from .instances import Formula, ProblemClass
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Action(NamedTuple):
@@ -75,6 +80,8 @@ def initial_state(f: Formula, problem_class: ProblemClass):
 
 def action_space(s: State) -> list[Action]:
     """Both assignments of every still-unassigned variable."""
+    import numpy as np
+
     out = []
     for i in np.flatnonzero(s.tableaux.y == UNASSIGNED):
         var = int(i) + 1
@@ -106,6 +113,8 @@ def is_terminal(s: State) -> bool:
 def rollout(s: State, rng) -> Episode:
     """Uniform random completion: at every step one of the 2(n - k) remaining
     actions is drawn uniformly."""
+    import numpy as np
+
     if is_terminal(s):
         raise ValueError("cannot roll out from a terminal state")
     unassigned = [int(i) + 1 for i in np.flatnonzero(s.tableaux.y == UNASSIGNED)]
@@ -200,6 +209,8 @@ def episode_reward(
     e: Episode, f: Formula, problem_class: ProblemClass, kind: RewardKind
 ) -> float:
     """Reward of a complete episode under the chosen shape."""
+    import numpy as np
+
     if (np.asarray(e.terminal_assignment) == UNASSIGNED).any():
         raise ValueError("episode is incomplete")
     if e.start_depth + len(e.steps) != f.num_vars:

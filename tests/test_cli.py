@@ -13,10 +13,21 @@ import mctsat
 from mctsat.cli import main
 
 TIME_COLUMNS = {"wall_ms", "mean_wall_ms"}
+UF20_01 = Path(__file__).parent / "data" / "uf20" / "uf20-01.cnf"
 
 
 def run_cli(args):
     return main(args)
+
+
+def run_python(args):
+    """A fresh interpreter with the package under test first on its path."""
+    src = str(Path(mctsat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def read_csv(path):
@@ -109,6 +120,43 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert run_cli(["does-not-exist.cnf"]) == 2
 
+    def test_undecodable_file_is_2_and_run_continues(self, tmp_path, capsys):
+        good = tmp_path / "ok.cnf"
+        good.write_text("p cnf 1 1\n1 0\n")
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"\xffp cnf 1 1\n1 0\n")
+        code = run_cli([str(good), str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "bad.cnf" in captured.err
+        assert json.loads(captured.out)["objective"] == 1
+
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("ablation", "--repeats", "0"),
+            ("ablation", "--repeats", "-2"),
+            ("alpha-grid", "--repeats", "0"),
+            ("enumerate", "--executions", "0"),
+        ],
+    )
+    def test_count_below_one_is_1(self, mode, flag, value):
+        proc = run_python(
+            ["-m", "mctsat.cli", "gen:n=4,m=8", "--mode", mode, f"{flag}={value}"]
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert flag in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_out_is_1(self, tmp_path, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        proc = run_python(["-m", "mctsat.cli", "gen:n=4,m=8", "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {out}: ")
+
     def test_oracle_mismatch_is_3(self, tmp_path):
         # a starved budget misses the optimum on about a quarter of these
         # weighted instances; it hits on all thirty with probability < 1e-4
@@ -142,17 +190,7 @@ class TestExitCodes:
         ],
     )
     def test_non_finite_search_knob_is_1(self, flag, value, field):
-        fixture = Path(__file__).parent / "data" / "uf20" / "uf20-01.cnf"
-        src = str(Path(mctsat.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "mctsat.cli", str(fixture), f"{flag}={value}"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_python(["-m", "mctsat.cli", str(UF20_01), f"{flag}={value}"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
@@ -280,6 +318,54 @@ class TestAlphaGridMode:
         assert alphas == [f"{i / 10:.1f}" for i in range(11)]
         for row in rows[1:]:
             assert 0.0 <= float(row[5]) <= 1.0
+
+
+# Runs each argv of the JSON list in argv[1] through ``main`` in one fresh
+# interpreter, then prints the exit codes and whether numpy was loaded.
+MODES_THEN_NUMPY = """
+import json, sys
+import mctsat
+from mctsat.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def modes_then_numpy(runs):
+    """(stdout lines of the modes, their exit codes, whether numpy loaded)."""
+    proc = run_python(["-c", MODES_THEN_NUMPY, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    summary = json.loads(last)
+    return lines, summary["codes"], summary["numpy"]
+
+
+class TestColdStart:
+    """The search needs no numpy: importing the package and four of the five
+    modes leave it unloaded.  Each case runs in a fresh interpreter, since the
+    test process itself may hold numpy."""
+
+    def test_four_modes_load_no_numpy(self):
+        gen = "gen:n=6,m=14,count=2,seed=3"
+        lines, codes, numpy_loaded = modes_then_numpy(
+            [
+                [str(UF20_01), "--seed", "3"],
+                [gen, "--mode", "enumerate", "--executions", "2"],
+                [gen, "--mode", "oracle-check", "--explore-factor", "30"],
+                [gen, "--mode", "ablation", "--repeats", "1"],
+            ]
+        )
+        assert codes == [0, 0, 0, 0]
+        assert json.loads(lines[0])["objective"] == 91
+        assert not numpy_loaded
+
+    def test_alpha_grid_loads_numpy(self):
+        lines, codes, numpy_loaded = modes_then_numpy(
+            [["gen:n=4,m=8", "--mode", "alpha-grid", "--repeats", "1"]]
+        )
+        assert codes == [0]
+        assert len(lines) == 11
+        assert numpy_loaded
 
 
 class TestDeterminism:
