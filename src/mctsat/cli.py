@@ -5,6 +5,17 @@ the exhaustive oracle, sweep the four reward shapes (ablation), or sweep alpha
 over an 11-point grid.  Inputs are DIMACS files or ``gen:`` specs such as
 ``gen:n=8,m=20,k=3,weighted=1,hard=2,count=5,seed=7``.
 
+Output: ``--format json`` (the default) writes one JSON object per row;
+``--format csv`` writes a header, then one line per row with the same
+columns in the same order.  solve and oracle-check give one row per
+instance, ablation one per instance and reward, alpha-grid one per instance
+and alpha.  enumerate gives one JSON object per instance, holding its distinct
+optima and discovery curve, but one CSV row per curve point.  CSV cells follow
+``records.csv_cells``: sequences are space-joined, booleans are 0/1, and the
+float columns have fixed decimals: alpha 1, mean_objective and norm_objective
+6, wall_ms and mean_wall_ms 3.  JSON numbers are unpadded; the sweep means are
+rounded to their CSV decimals, solve's wall_ms is not.
+
 Exit codes: 0 success, 1 usage error, 2 parse failures, 3 oracle mismatch.
 """
 
@@ -28,7 +39,7 @@ from .instances import (
 )
 from .mcts import ExploitRule, SolverConfig, derive_seed, solve
 from .oracle import brute_force
-from .records import CSV_COLUMNS, csv_row, make_record, record_to_json
+from .records import CSV_COLUMNS, csv_cells, make_record, record_row
 from .rl import RewardKind
 
 MODES = ("solve", "enumerate", "oracle-check", "ablation", "alpha-grid")
@@ -118,13 +129,21 @@ def _parse_gen_spec(spec: str, default_seed: int) -> list[tuple[str, Formula]]:
             key, _, value = part.partition("=")
             if key not in fields:
                 raise ValueError(f"unknown generator key {key!r}")
-            fields[key] = int(value)
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"generator key {key!r} in {spec!r} needs an integer, got {value!r}"
+                ) from None
         elif part == "weighted":
             fields["weighted"] = 1
         else:
             raise ValueError(f"unknown generator flag {part!r}")
     if fields["n"] is None or fields["m"] is None:
         raise ValueError("generator spec requires n= and m=")
+    if fields["count"] < 1:
+        count = fields["count"]
+        raise ValueError(f"generator key 'count' in {spec!r} must be >= 1, got {count}")
     out = []
     tag = "w" if fields["weighted"] else "u"
     for i in range(fields["count"]):
@@ -177,29 +196,29 @@ def _resolve_class(formula: Formula, token: str) -> ProblemClass:
     return classify(formula)
 
 
-def _config(args, seed: int, **overrides) -> SolverConfig:
-    cfg = SolverConfig(
+def _config(args, seed: int, alpha=None, reward=None) -> SolverConfig:
+    """The flags' solver config; a sweep's knob value overrides its flag."""
+    return SolverConfig(
         explore_factor=args.explore_factor,
-        alpha=args.alpha,
+        alpha=args.alpha if alpha is None else alpha,
         uct_c=args.uct_c,
-        reward=RewardKind(args.reward),
+        reward=RewardKind(reward or args.reward),
         exploit_rule=ExploitRule(args.exploit),
         seed=seed,
     )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
 
 
-def _emit(args, columns, rows_csv, rows_json) -> None:
+def _emit(args, columns, rows, csv_rows=lambda row: [row]) -> None:
+    """Write row dicts as JSON lines, or as CSV under a ``columns`` header;
+    ``csv_rows`` maps a row to the CSV rows it stands for."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(rows_csv)
+        writer.writerows(csv_cells(line) for row in rows for line in csv_rows(row))
         payload = buf.getvalue()
     else:
-        payload = "".join(line + "\n" for line in rows_json)
+        payload = "".join(json.dumps(row) + "\n" for row in rows)
     if args.out is None:
         sys.stdout.write(payload)
         return
@@ -210,45 +229,44 @@ def _emit(args, columns, rows_csv, rows_json) -> None:
 
 
 def _mode_solve(instances, args) -> int:
-    rows_csv, rows_json = [], []
+    rows = []
     for idx, (name, formula) in enumerate(sorted(instances)):
         cls = _resolve_class(formula, args.problem_class)
         seed = derive_seed(args.seed, idx)
         result = solve(formula, cls, _config(args, seed))
-        record = make_record(result, name, cls, seed)
-        rows_csv.append(csv_row(record))
-        rows_json.append(record_to_json(record))
-    _emit(args, CSV_COLUMNS, rows_csv, rows_json)
+        rows.append(record_row(make_record(result, name, cls, seed)))
+    _emit(args, CSV_COLUMNS, rows)
     return 0
 
 
+def _curve_rows(row):
+    """enumerate's CSV shape: one row per point of an instance's curve."""
+    for point in row["curve"]:
+        yield dict(zip(ENUM_COLUMNS, (row["instance"], *point)))
+
+
 def _mode_enumerate(instances, args) -> int:
-    rows_csv, rows_json = [], []
+    rows = []
     for idx, (name, formula) in enumerate(sorted(instances)):
         cls = _resolve_class(formula, args.problem_class)
         cfg = _config(args, derive_seed(args.seed, idx))
         report = enumerate_optima(formula, cls, cfg, args.executions)
-        for execution, count in report.discovery_curve:
-            rows_csv.append([name, str(execution), str(count)])
-        rows_json.append(
-            json.dumps(
-                {
-                    "instance": name,
-                    "class": cls.value,
-                    "best_objective": report.best_objective,
-                    "executions": report.executions,
-                    "distinct_optima": [list(a) for a in report.distinct_optima],
-                    "curve": [list(point) for point in report.discovery_curve],
-                }
-            )
+        rows.append(
+            {
+                "instance": name,
+                "class": cls.value,
+                "best_objective": report.best_objective,
+                "executions": report.executions,
+                "distinct_optima": report.distinct_optima,
+                "curve": report.discovery_curve,
+            }
         )
-    _emit(args, ENUM_COLUMNS, rows_csv, rows_json)
+    _emit(args, ENUM_COLUMNS, rows, _curve_rows)
     return 0
 
 
 def _mode_oracle_check(instances, args) -> int:
-    rows_csv, rows_json = [], []
-    mismatch = False
+    rows = []
     for idx, (name, formula) in enumerate(sorted(instances)):
         cls = _resolve_class(formula, args.problem_class)
         try:
@@ -258,64 +276,10 @@ def _mode_oracle_check(instances, args) -> int:
             return 1
         result = solve(formula, cls, _config(args, derive_seed(args.seed, idx)))
         match = result.objective == truth.optimum
-        mismatch = mismatch or not match
-        rows_csv.append(
-            [name, cls.value, str(result.objective), str(truth.optimum), str(int(match))]
-        )
-        rows_json.append(
-            json.dumps(
-                {
-                    "instance": name,
-                    "class": cls.value,
-                    "solver_objective": result.objective,
-                    "oracle_optimum": truth.optimum,
-                    "match": match,
-                }
-            )
-        )
-    _emit(args, ORACLE_COLUMNS, rows_csv, rows_json)
-    return 3 if mismatch else 0
-
-
-def _mode_ablation(instances, args) -> int:
-    rows_csv, rows_json = [], []
-    for idx, (name, formula) in enumerate(sorted(instances)):
-        cls = _resolve_class(formula, args.problem_class)
-        for kind_idx, kind in enumerate(RewardKind):
-            objectives, walls = [], []
-            for rep in range(args.repeats):
-                cfg = _config(
-                    args, derive_seed(args.seed, idx, kind_idx, rep), reward=kind
-                )
-                result = solve(formula, cls, cfg)
-                objectives.append(result.objective)
-                walls.append(result.stats.wall_ms)
-            mean_obj = sum(objectives) / len(objectives)
-            mean_wall = sum(walls) / len(walls)
-            rows_csv.append(
-                [
-                    name,
-                    cls.value,
-                    kind.value,
-                    str(args.repeats),
-                    f"{mean_obj:.6f}",
-                    f"{mean_wall:.3f}",
-                ]
-            )
-            rows_json.append(
-                json.dumps(
-                    {
-                        "instance": name,
-                        "class": cls.value,
-                        "reward": kind.value,
-                        "repeats": args.repeats,
-                        "mean_objective": round(mean_obj, 6),
-                        "mean_wall_ms": round(mean_wall, 3),
-                    }
-                )
-            )
-    _emit(args, ABLATION_COLUMNS, rows_csv, rows_json)
-    return 0
+        cells = (name, cls.value, result.objective, truth.optimum, match)
+        rows.append(dict(zip(ORACLE_COLUMNS, cells)))
+    _emit(args, ORACLE_COLUMNS, rows)
+    return 0 if all(row["match"] for row in rows) else 3
 
 
 def _iqr_normalizer(values):
@@ -328,55 +292,44 @@ def _iqr_normalizer(values):
     return lambda v: float(min(1.0, max(0.0, (v - q1) / (q3 - q1))))
 
 
-def _mode_alpha_grid(instances, args) -> int:
-    alphas = [i / 10 for i in range(11)]
-    rows_csv, rows_json = [], []
+def _sweep(instances, args, knob, values, columns) -> int:
+    """Solve every (instance, knob value) cell ``args.repeats`` times and emit
+    one row per cell with its mean objective and wall time.  When ``columns``
+    has norm_objective, a row also holds its solves' mean objective normalised
+    by the IQR of all the instance's solves."""
+    rows = []
     for idx, (name, formula) in enumerate(sorted(instances)):
         cls = _resolve_class(formula, args.problem_class)
         cells = []
-        all_objectives = []
-        for a_idx, alpha in enumerate(alphas):
+        for v_idx, value in enumerate(values):
             objectives, walls = [], []
             for rep in range(args.repeats):
-                cfg = _config(
-                    args, derive_seed(args.seed, idx, a_idx, rep), alpha=alpha
-                )
-                result = solve(formula, cls, cfg)
+                seed = derive_seed(args.seed, idx, v_idx, rep)
+                result = solve(formula, cls, _config(args, seed, **{knob: value}))
                 objectives.append(result.objective)
                 walls.append(result.stats.wall_ms)
-            cells.append((alpha, objectives, walls))
-            all_objectives.extend(objectives)
-        norm = _iqr_normalizer(all_objectives)
-        for alpha, objectives, walls in cells:
-            mean_obj = sum(objectives) / len(objectives)
-            norm_obj = sum(norm(v) for v in objectives) / len(objectives)
-            mean_wall = sum(walls) / len(walls)
-            rows_csv.append(
-                [
-                    name,
-                    cls.value,
-                    f"{alpha:.1f}",
-                    str(args.repeats),
-                    f"{mean_obj:.6f}",
-                    f"{norm_obj:.6f}",
-                    f"{mean_wall:.3f}",
-                ]
-            )
-            rows_json.append(
-                json.dumps(
-                    {
-                        "instance": name,
-                        "class": cls.value,
-                        "alpha": alpha,
-                        "repeats": args.repeats,
-                        "mean_objective": round(mean_obj, 6),
-                        "norm_objective": round(norm_obj, 6),
-                        "mean_wall_ms": round(mean_wall, 3),
-                    }
-                )
-            )
-    _emit(args, ALPHA_COLUMNS, rows_csv, rows_json)
+            cells.append((value, objectives, walls))
+        population = [v for _, objectives, _ in cells for v in objectives]
+        norm = _iqr_normalizer(population) if "norm_objective" in columns else None
+        for value, objectives, walls in cells:
+            means = [round(sum(objectives) / args.repeats, 6)]
+            if norm is not None:
+                means.append(round(sum(map(norm, objectives)) / args.repeats, 6))
+            means.append(round(sum(walls) / args.repeats, 3))
+            fields = (name, cls.value, value, args.repeats, *means)
+            rows.append(dict(zip(columns, fields)))
+    _emit(args, columns, rows)
     return 0
+
+
+def _mode_ablation(instances, args) -> int:
+    rewards = [kind.value for kind in RewardKind]
+    return _sweep(instances, args, "reward", rewards, ABLATION_COLUMNS)
+
+
+def _mode_alpha_grid(instances, args) -> int:
+    alphas = [i / 10 for i in range(11)]
+    return _sweep(instances, args, "alpha", alphas, ALPHA_COLUMNS)
 
 
 _MODE_RUNNERS = {

@@ -1,11 +1,11 @@
 """DIMACS CNF/WCNF instances: parsing, classification, generation, serialization.
 
 Accepted dialect: comment lines start with "c", one "p cnf <n> <m>" or
-"p wcnf <n> <m> [top]" header, clauses as whitespace-separated integers
-terminated by 0 (clauses may span lines).  WCNF clause lines start with the
-clause weight; when the optional top weight is present, weight == top marks a
-hard clause.  A trailing "%" / "0" pair after the final clause (SATLIB
-convention) is ignored.
+"p wcnf <n> <m> [top]" header with nothing after it on its line, clauses as
+whitespace-separated integers terminated by 0 (clauses may span lines).  WCNF
+clause lines start with the clause weight; when the optional top weight is
+present, weight == top marks a hard clause.  A trailing "%" / "0" pair after
+the final clause (SATLIB convention) is ignored.
 """
 
 from __future__ import annotations
@@ -103,16 +103,12 @@ class Formula:
         return len(self.clauses)
 
 
-def _decode(source: str | bytes) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8", errors="replace")
-    return source
-
-
-def _numbered_tokens(text: str) -> list[tuple[str, int]]:
+def _numbered_tokens(source: str | bytes) -> list[tuple[str, int]]:
     """Whitespace tokens paired with their 1-based line number, comments dropped."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8", errors="replace")
     out = []
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(source.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
@@ -152,6 +148,9 @@ def _parse_header(tokens: list[tuple[str, int]], kind: str):
         if top < 0:
             raise ParseError("top weight must be non-negative", header_line)
         body = 5
+    if len(tokens) > body and tokens[body][1] == header_line:
+        extra = tokens[body][0]
+        raise ParseError(f"extra token {extra!r} on the header line", header_line)
     return num_vars, num_clauses, top, body
 
 
@@ -162,50 +161,16 @@ def _check_tail(tokens: list[tuple[str, int]], start: int) -> None:
             raise ParseError("content after the declared number of clauses", line)
 
 
-def parse_cnf(source: str | bytes) -> Formula:
-    """Parse DIMACS CNF text into a Formula with unit weights and no hard clauses."""
-    tokens = _numbered_tokens(_decode(source))
-    num_vars, num_clauses, _, pos = _parse_header(tokens, "cnf")
+def _parse(tokens: list[tuple[str, int]], kind: str) -> Formula:
+    """The clause loop of both kinds: a WCNF clause reads its weight first, a
+    CNF clause has weight 1.  Weight == top marks a hard clause."""
+    num_vars, num_clauses, top, body = _parse_header(tokens, kind)
+    unread = None if kind == "wcnf" else 1  # the weight of a clause not yet begun
     clauses: list[Clause] = []
+    weight = unread
     lits: list[Literal] = []
-    last_line = tokens[pos - 1][1] if tokens else 1
-    while pos < len(tokens):
-        tok, line = tokens[pos]
-        if len(clauses) == num_clauses:
-            _check_tail(tokens, pos)
-            break
-        code = _to_int(tok, line, "literal")
-        if code == 0:
-            if not lits:
-                raise ParseError("empty clause", line)
-            clauses.append(Clause(tuple(lits)))
-            lits = []
-        else:
-            if abs(code) > num_vars:
-                raise ParseError(
-                    f"variable {abs(code)} exceeds declared count {num_vars}", line
-                )
-            lits.append(Literal.from_dimacs(code))
-        last_line = line
-        pos += 1
-    if lits:
-        raise ParseError("unterminated clause at end of input", last_line)
-    if len(clauses) != num_clauses:
-        raise ParseError(
-            f"header declares {num_clauses} clauses, found {len(clauses)}", last_line
-        )
-    return Formula(num_vars, tuple(clauses))
-
-
-def parse_wcnf(source: str | bytes) -> Formula:
-    """Parse DIMACS WCNF text; clauses with weight == top are marked hard."""
-    tokens = _numbered_tokens(_decode(source))
-    num_vars, num_clauses, top, pos = _parse_header(tokens, "wcnf")
-    clauses: list[Clause] = []
-    weight: int | None = None
-    lits: list[Literal] = []
-    last_line = tokens[pos - 1][1] if tokens else 1
-    while pos < len(tokens):
+    last_line = tokens[body - 1][1]
+    for pos in range(body, len(tokens)):
         tok, line = tokens[pos]
         if len(clauses) == num_clauses:
             _check_tail(tokens, pos)
@@ -221,9 +186,8 @@ def parse_wcnf(source: str | bytes) -> Formula:
             if code == 0:
                 if not lits:
                     raise ParseError("empty clause", line)
-                hard = top is not None and weight == top
-                clauses.append(Clause(tuple(lits), weight, hard))
-                weight = None
+                clauses.append(Clause(tuple(lits), weight, weight == top))
+                weight = unread
                 lits = []
             else:
                 if abs(code) > num_vars:
@@ -232,8 +196,7 @@ def parse_wcnf(source: str | bytes) -> Formula:
                     )
                 lits.append(Literal.from_dimacs(code))
         last_line = line
-        pos += 1
-    if weight is not None or lits:
+    if weight != unread or lits:
         raise ParseError("unterminated clause at end of input", last_line)
     if len(clauses) != num_clauses:
         raise ParseError(
@@ -242,13 +205,21 @@ def parse_wcnf(source: str | bytes) -> Formula:
     return Formula(num_vars, tuple(clauses), top_weight=top)
 
 
+def parse_cnf(source: str | bytes) -> Formula:
+    """Parse DIMACS CNF text into a Formula with unit weights and no hard clauses."""
+    return _parse(_numbered_tokens(source), "cnf")
+
+
+def parse_wcnf(source: str | bytes) -> Formula:
+    """Parse DIMACS WCNF text; clauses with weight == top are marked hard."""
+    return _parse(_numbered_tokens(source), "wcnf")
+
+
 def parse_dimacs(source: str | bytes) -> Formula:
     """Parse CNF or WCNF, dispatching on the header kind."""
-    text = _decode(source)
-    tokens = _numbered_tokens(text)
-    if len(tokens) >= 2 and tokens[0][0] == "p" and tokens[1][0] == "wcnf":
-        return parse_wcnf(text)
-    return parse_cnf(text)
+    tokens = _numbered_tokens(source)
+    wcnf = len(tokens) >= 2 and tokens[0][0] == "p" and tokens[1][0] == "wcnf"
+    return _parse(tokens, "wcnf" if wcnf else "cnf")
 
 
 def classify(f: Formula) -> ProblemClass:

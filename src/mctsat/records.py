@@ -1,5 +1,5 @@
 """Solve-result records: one JSON object per solve, plus CSV rows with the
-same columns for benchmark sweeps."""
+same columns for benchmark sweeps, and the CSV cell rule of every CLI row."""
 
 from __future__ import annotations
 
@@ -21,6 +21,15 @@ CSV_COLUMNS = (
     "seed",
     "wall_ms",
 )
+
+# The fixed decimals of each float column in CSV output.
+CSV_DECIMALS = {
+    "alpha": 1,
+    "mean_objective": 6,
+    "norm_objective": 6,
+    "wall_ms": 3,
+    "mean_wall_ms": 3,
+}
 
 
 @dataclass(frozen=True)
@@ -58,21 +67,14 @@ def make_record(
     )
 
 
+def record_row(record: SolveRecord) -> dict:
+    """The record as a dict keyed by CSV_COLUMNS, in the order of the fields."""
+    return dict(zip(CSV_COLUMNS, astuple(record)))
+
+
 def record_to_json(record: SolveRecord) -> str:
     """One JSON object; keys are CSV_COLUMNS, in the order of the fields."""
-    return json.dumps(dict(zip(CSV_COLUMNS, astuple(record))))
-
-
-def write_result(
-    result: SolveResult,
-    *,
-    instance: str,
-    problem_class: ProblemClass,
-    seed: int,
-    executions: int = 1,
-) -> str:
-    """Serialize a solve result as its JSON record."""
-    return record_to_json(make_record(result, instance, problem_class, seed, executions))
+    return json.dumps(record_row(record))
 
 
 def parse_result(text: str) -> SolveRecord:
@@ -82,17 +84,22 @@ def parse_result(text: str) -> SolveRecord:
     return SolveRecord(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
+def csv_cells(row: dict) -> list[str]:
+    """A row dict's CSV cells in key order: sequences space-joined, bools as
+    0/1, the CSV_DECIMALS columns with fixed decimals, anything else str()."""
+    cells = []
+    for key, value in row.items():
+        if isinstance(value, (list, tuple)):
+            cells.append(" ".join(str(v) for v in value))
+        elif isinstance(value, bool):
+            cells.append(str(int(value)))
+        elif key in CSV_DECIMALS:
+            cells.append(f"{value:.{CSV_DECIMALS[key]}f}")
+        else:
+            cells.append(str(value))
+    return cells
+
+
 def csv_row(record: SolveRecord) -> list[str]:
     """Row matching CSV_COLUMNS; assignment and violations space-separated."""
-    return [
-        record.instance,
-        record.problem_class,
-        str(record.objective),
-        " ".join(str(b) for b in record.assignment),
-        str(record.satisfied),
-        " ".join(str(j) for j in record.hard_violations),
-        str(record.n_explore),
-        str(record.executions),
-        str(record.seed),
-        f"{record.wall_ms:.3f}",
-    ]
+    return csv_cells(record_row(record))

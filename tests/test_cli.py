@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from mctsat.cli import main
 
 TIME_COLUMNS = {"wall_ms", "mean_wall_ms"}
 UF20_01 = Path(__file__).parent / "data" / "uf20" / "uf20-01.cnf"
+PINNED_STDOUT = Path(__file__).parent / "data" / "cli_stdout.json"
 
 
 def run_cli(args):
@@ -102,9 +104,15 @@ class TestExitCodes:
             run_cli(["gen:n=2,m=2", "--mode", "nonsense"])
         assert err.value.code == 1
 
-    def test_bad_generator_spec_is_1(self):
+    def test_bad_generator_spec_is_1(self, capsys):
         assert run_cli(["gen:n=2"]) == 1
         assert run_cli(["gen:n=2,m=2,bogus=1"]) == 1
+        # a bad value names its key and the spec
+        assert run_cli(["gen:n=abc,m=2"]) == 1
+        assert "key 'n' in 'gen:n=abc,m=2'" in capsys.readouterr().err
+        assert run_cli(["gen:n=4,m=8,count=0"]) == 1
+        err = capsys.readouterr().err
+        assert "key 'count' in 'gen:n=4,m=8,count=0' must be >= 1" in err
 
     def test_parse_failure_is_2_and_run_continues(self, tmp_path, capsys):
         good = tmp_path / "good.cnf"
@@ -393,3 +401,48 @@ class TestDeterminism:
         run_cli(["gen:n=4,m=8,count=2,seed=11", "--out", str(a)])
         run_cli(["gen:n=4,m=8,count=2,seed=11", "--out", str(b)])
         assert stable_json_body(a) == stable_json_body(b)
+
+
+# A weighted spec with hard clauses, and the flags each mode runs with.  The
+# starved budget varies the objectives across repeats, so the sweep means
+# have fractions and the normalised objectives differ; oracle-check runs a
+# full budget so that it matches and exits 0.
+PIN_SPEC = "gen:n=10,m=40,weighted,hard=2,count=2,seed=3"
+STARVED = ["--explore-factor", "0.02"]
+PIN_FLAGS = {
+    "solve": STARVED,
+    "enumerate": STARVED + ["--executions", "3"],
+    "oracle-check": ["--explore-factor", "30"],
+    "ablation": STARVED + ["--repeats", "3"],
+    "alpha-grid": STARVED + ["--repeats", "3"],
+}
+
+
+def masked_stdout(text, fmt):
+    """Stdout with the value of each wall-time field replaced by '*'.  The
+    CSV cells of a ``gen:`` run hold no commas, so rows split on them."""
+    if fmt == "json":
+        return re.sub(r'("(?:mean_)?wall_ms": )[^,}]+', r"\1*", text)
+    lines = [line.split(",") for line in text.splitlines()]
+    drop = [i for i, name in enumerate(lines[0]) if name in TIME_COLUMNS]
+    for row in lines[1:]:
+        for i in drop:
+            row[i] = "*"
+    return "".join(",".join(row) + "\n" for row in lines)
+
+
+class TestPinnedStdout:
+    """Every mode's stdout in both formats, byte for byte apart from wall
+    times, against tests/data/cli_stdout.json.  The pin holds formats no
+    other test checks: JSON 12.0 against CSV 12.000000, match as true
+    against 1, and the shape of enumerate's JSON.  To re-pin after a
+    deliberate format change, store ``masked_stdout`` of each case under
+    its "<mode>.<format>" key."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("mode", list(PIN_FLAGS))
+    def test_masked_stdout_matches_pin(self, capsys, mode, fmt):
+        argv = [PIN_SPEC, "--mode", mode, "--format", fmt, "--seed", "5"]
+        assert run_cli(argv + PIN_FLAGS[mode]) == 0
+        pinned = json.loads(PINNED_STDOUT.read_text())
+        assert masked_stdout(capsys.readouterr().out, fmt) == pinned[f"{mode}.{fmt}"]

@@ -57,6 +57,13 @@ class TestParseCnf:
             parse_cnf("1 0\n")
         with pytest.raises(ParseError):
             parse_cnf("p wcnf 1 1\n1 0\n")
+        # a stray token on the header line is not clause data or a weight
+        stray = [("p cnf 2 1 1\n2 0\n", "'1'"), ("p wcnf 2 1 5 3\n1 0\n", "'3'")]
+        for text, extra in stray:
+            with pytest.raises(ParseError) as err:
+                parse_dimacs(text)
+            assert err.value.line == 1
+            assert str(err.value) == f"line 1: extra token {extra} on the header line"
 
     def test_var_beyond_header(self):
         with pytest.raises(ParseError) as err:
@@ -107,6 +114,51 @@ class TestParseWcnf:
     def test_zero_weight_soft_clause_legal(self):
         f = parse_wcnf("p wcnf 1 1\n0 1 0\n")
         assert f.clauses[0].weight == 0
+
+
+PARSERS = {"cnf": parse_cnf, "wcnf": parse_wcnf, "dimacs": parse_dimacs}
+
+
+@pytest.mark.parametrize(
+    "parser, text, line, message",
+    [
+        ("cnf", "", 1, "empty input"),
+        ("cnf", "c only a comment\n", 1, "empty input"),
+        ("cnf", "1 2 0\n", 1, "expected 'p cnf' header, found '1'"),
+        ("cnf", "p cnf 2\n", 1, "incomplete header"),
+        ("cnf", "p cnf x 1\n1 0\n", 1, "invalid variable count 'x'"),
+        ("cnf", "p wcnf 1 1\n1 1 0\n", 1, "expected 'p cnf' header, found 'p wcnf'"),
+        ("cnf", "p cnf -1 1\n1 0\n", 1, "header counts must be non-negative"),
+        ("cnf", "p cnf 2 -1\n", 1, "header counts must be non-negative"),
+        ("cnf", "p cnf 2 1\n1 x 0\n", 2, "invalid literal 'x'"),
+        ("cnf", "p cnf 2 1\n3 0\n", 2, "variable 3 exceeds declared count 2"),
+        ("cnf", "p cnf 2 2\n1 0\n0\n", 3, "empty clause"),
+        ("cnf", "p cnf 2 1\n1 2\n", 2, "unterminated clause at end of input"),
+        ("cnf", "p cnf 2 2\n1 0\n", 2, "header declares 2 clauses, found 1"),
+        ("cnf", "p cnf 2 1\n1 0\n2 0\n", 3, "content after the declared number of clauses"),
+        ("cnf", "p cnf 2 1\n1 2 0\n%\n0\n1\n", 5, "content after the declared number of clauses"),
+        ("wcnf", "p wcnf 2 1 -5\n1 1 0\n", 1, "top weight must be non-negative"),
+        ("wcnf", "p wcnf 2 1 x\n1 1 0\n", 1, "invalid top weight 'x'"),
+        ("wcnf", "p wcnf 2 1\n-2 1 0\n", 2, "negative clause weight -2"),
+        ("wcnf", "p wcnf 2 1 10\n11 1 0\n", 2, "clause weight 11 exceeds top 10"),
+        ("wcnf", "p wcnf 2 1\nw 1 0\n", 2, "invalid clause weight 'w'"),
+        ("wcnf", "p wcnf 2 2\n3 1 0\n4 0\n", 3, "empty clause"),
+        ("wcnf", "p wcnf 2 1\n3 1\n", 2, "unterminated clause at end of input"),
+        ("wcnf", "p wcnf 2 1\n3\n", 2, "unterminated clause at end of input"),
+        ("wcnf", "p wcnf 2 1 9\n9 1 0\n%\n0\n5 2 0\n", 5, "content after the declared number of clauses"),
+        ("wcnf", "p cnf 2 1\n1 0\n", 1, "expected 'p wcnf' header, found 'p cnf'"),
+        ("dimacs", "", 1, "empty input"),
+        ("dimacs", "p\n", 1, "incomplete header"),
+        ("dimacs", "p cnf 2 1\n1 2\n", 2, "unterminated clause at end of input"),
+        ("dimacs", "p wcnf 2 1 9\n10 1 0\n", 2, "clause weight 10 exceeds top 9"),
+        ("dimacs", "p wcnf 2 2 9\n9 1 0\n", 2, "header declares 2 clauses, found 1"),
+    ],
+)
+def test_parse_error_line_and_message(parser, text, line, message):
+    with pytest.raises(ParseError) as err:
+        PARSERS[parser](text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_parse_dimacs_dispatch():

@@ -14,8 +14,8 @@ from mctsat import (
     parse_result,
     record_to_json,
     solve,
-    write_result,
 )
+from mctsat.records import csv_cells
 
 
 def random_record(rng):
@@ -41,12 +41,10 @@ def test_round_trip_100_random_records():
         assert parse_result(record_to_json(record)) == record
 
 
-def test_write_result_from_solve():
+def test_record_to_json_from_solve():
     f = parse_cnf("p cnf 2 1\n1 2 0\n")
     res = solve(f, ProblemClass.MAXSAT, SolverConfig(seed=7))
-    text = write_result(
-        res, instance="tiny", problem_class=ProblemClass.MAXSAT, seed=7
-    )
+    text = record_to_json(make_record(res, "tiny", ProblemClass.MAXSAT, 7))
     obj = json.loads(text)
     assert set(obj) == set(CSV_COLUMNS)
     assert obj["objective"] == 1
@@ -88,3 +86,17 @@ def test_degenerate_zero_record_valid():
     )
     assert parse_result(record_to_json(record)) == record
     assert len(csv_row(record)) == len(CSV_COLUMNS)
+
+
+def test_csv_cells_rule():
+    row = {
+        "instance": "x",
+        "assignment": (1, 0, 1),
+        "hard_violations": [],
+        "match": False,
+        "seed": 12,
+        "alpha": 0.3,
+        "mean_objective": 12.0,
+        "wall_ms": 0.5,
+    }
+    assert csv_cells(row) == ["x", "1 0 1", "", "0", "12", "0.3", "12.000000", "0.500"]
