@@ -1,0 +1,119 @@
+"""Run the benchmark as alternating parent/change pairs and write BENCH_<pr>.json.
+
+    git archive PARENT_REV | tar -x -C /tmp/parent
+    git archive CHANGE_REV | tar -x -C /tmp/change
+    python3 scripts/bench_pairs.py --parent /tmp/parent --change /tmp/change \\
+        --seeds $(seq 101 110) --out "BENCH_$PR.json"
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each source tree, on the same seed; even pairs run the
+parent first and odd pairs the change.  The output holds the machine, the
+seeds, every metric of every run, and per workload and metric each side's
+median and quartiles and the pairs the change won, lost and tied, judged by
+the metric's ``better`` direction in the parent's BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("uf20-terminal", "shaped-mix")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        sign = 1 if direction == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        out[name] = {
+            "better": direction,
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "won": won,
+            "lost": lost,
+            "tied": len(pairs) - won - lost,
+        }
+    return out
+
+
+def machine() -> dict:
+    info = {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+    }
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                info["cpu"] = line.split(":", 1)[1].strip()
+                break
+    return info
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
+    p.add_argument("--change", type=Path, required=True, help="source tree of the change")
+    p.add_argument("--seeds", type=int, nargs="+", required=True, help="one seed per pair")
+    p.add_argument("--seconds", type=float, default=50.0)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    trees = {"parent": args.parent, "change": args.change}
+    report = {
+        "command": "python3 perfbench/run.py --workload W --seed S "
+        f"--seconds {args.seconds:g} --trace 0",
+        "machine": machine(),
+        "seeds": args.seeds,
+        "order": "even pairs run the parent first, odd pairs the change first",
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            pair = {"seed": seed, "first": sides[0]}
+            for side in sides:
+                pair[side] = run(trees[side], workload, seed, args.seconds)
+            pairs.append(pair)
+            print(workload, seed, {s: pair[s]["metrics"]["episodes_per_ys"] for s in sides},
+                  file=sys.stderr, flush=True)
+        report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, better)}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -141,9 +141,13 @@ def _parse_gen_spec(spec: str, default_seed: int) -> list[tuple[str, Formula]]:
             raise ValueError(f"unknown generator flag {part!r}")
     if fields["n"] is None or fields["m"] is None:
         raise ValueError("generator spec requires n= and m=")
-    if fields["count"] < 1:
-        count = fields["count"]
-        raise ValueError(f"generator key 'count' in {spec!r} must be >= 1, got {count}")
+    ranges = [("count", 1, None), ("n", 1, None), ("m", 1, None), ("k", 1, fields["n"]),
+              ("hard", 0, fields["m"]), ("weighted", 0, 1)]
+    for key, lo, hi in ranges:
+        value = fields[key]
+        if value < lo or hi is not None and value > hi:
+            span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ValueError(f"generator key {key!r} in {spec!r} must be {span}, got {value}")
     out = []
     tag = "w" if fields["weighted"] else "u"
     for i in range(fields["count"]):

@@ -10,7 +10,8 @@ The UCT value of an arm (UCB1) is mean + c * sqrt(2 ln N / v), with N the
 level's visits and v the arm's.  It is evaluated factored, as
 mean + s * rad with the per-call scalar s = c * sqrt(2 ln N) and the
 per-arm rad = 1 / sqrt(v).  Each arm's mean and rad are cached on the level
-and rewritten by ``backup``, for the one arm it touches.
+and rewritten by ``backup``, or its inlined copy in ``solve``, for the one arm
+it touches.
 
 ``exploration_eligible`` is the reference eligible set: every arm whose value
 reaches (1 - alpha) * min + alpha * max.  ``solve`` draws the same arms from
@@ -25,7 +26,13 @@ the exact min is found by scanning the arms in ascending lower until a lower
 exceeds it; then, while the greatest upper left cold reaches the threshold,
 that arm turns hot.  Every cold arm is then below the threshold and below
 the hot max, so min, max, threshold and the eligible list (the hot arms that
-reach it, in index order) are the reference's, bit for bit.
+reach it, in index order) are the reference's, bit for bit.  A stretch's s
+are c * r, with r = sqrt(2 ln t) read from a table that all solves share and
+that grows on demand: the same floats as computed in place, with log and sqrt
+paid once per process.  The draw is CPython's rejection loop for
+``randrange(size)`` (b = size.bit_length(), then j = getrandbits(b) until
+j < size), and ``shuffled_completion`` runs it for each swap of ``shuffle``:
+the same ``getrandbits`` calls as the library, so the same RNG stream.
 
 Episodes are scored by ``EpisodeKernel``, built once per solve.  Assignments
 are ints with bit v set when variable v + 1 is 1; clause sets are ints with
@@ -51,6 +58,7 @@ import time
 from bisect import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 
 from .blp import checked_weights
 from .instances import Formula, ProblemClass
@@ -87,8 +95,9 @@ class LevelStats:
     ``mean`` (q_sum / visits) and ``rad`` (1 / sqrt(visits)) cache each arm's
     part of its UCT value; an unvisited arm holds inf in both, so its UCT
     value is inf, which the selection rules refuse.  They are derived from
-    the other lists on construction, and afterwards ``backup`` is their only
-    writer: writing ``visits`` or ``q_sum`` directly leaves them stale.
+    the other lists on construction, and afterwards written only by
+    ``backup`` and by ``solve``'s inlined copy of it: writing ``visits`` or
+    ``q_sum`` directly leaves them stale.
     """
 
     actions: tuple[Action, ...]
@@ -181,29 +190,34 @@ def select_exploration_child(level: LevelStats, cfg: SolverConfig, rng) -> int:
 
 
 STRETCH = 48  # draws per set of bounds
+_ROOT_2_LOG = [math.nan]  # [t] = sqrt(2 ln t), grown on demand, shared by all solves
 
 
 def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     """Yield ``episodes`` arms, each the arm ``select_exploration_child``
-    would draw at that point, from the same ``rng.randrange`` calls.  The
-    caller must ``backup`` each yielded arm before asking for the next.
+    would draw at that point, from the same RNG calls.  The caller must
+    ``backup`` each yielded arm before asking for the next.
 
     Each arm's value is bounded per stretch and computed only when its
     bounds can decide the draw (see the module docstring).
     """
     if not level.visits:
         raise ValueError("level has no arms")
-    alpha = cfg.alpha
+    alpha, c = cfg.alpha, cfg.uct_c
     mean, rad = level.mean, level.rad
     k = len(rad)
     total = level.total
+    getrandbits = rng.getrandbits
     while episodes > 0:
-        if math.inf in rad:
+        if math.inf in rad or total < 1:  # _ROOT_2_LOG[0] is nan
             raise ValueError("every arm needs a visit")
         n = min(episodes, STRETCH)
         episodes -= n
-        ss = [cfg.uct_c * math.sqrt(2.0 * math.log(t)) for t in range(total, total + n)]
-        total += n
+        stop = total + n
+        if len(_ROOT_2_LOG) < stop:
+            _ROOT_2_LOG.extend(math.sqrt(2.0 * math.log(t)) for t in range(len(_ROOT_2_LOG), stop))
+        ss = [c * r for r in _ROOT_2_LOG[total:stop]]
+        total = stop
         s_lo, s_hi = min(ss), max(ss)
         lower = [m + s_lo * r for m, r in zip(mean, rad)]
         upper = [m + s_hi * r for m, r in zip(mean, rad)]
@@ -237,7 +251,12 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
                 if u > hi:
                     hi = u
             eligible = [a for a, u in zip(hot, us) if u >= thr]
-            yield eligible[rng.randrange(len(eligible))]
+            size = len(eligible)
+            bits = size.bit_length()
+            j = getrandbits(bits)  # rng.randrange(size), call for call
+            while j >= size:
+                j = getrandbits(bits)
+            yield eligible[j]
 
 
 def backup(level: LevelStats, arm: int, reward: float) -> None:
@@ -438,8 +457,14 @@ def uniform_completion(y: int, free: int, n: int, rng) -> int:
 def shuffled_completion(free: list[int], rng) -> tuple[list[int], int]:
     """A uniform order of the ``free`` variables (shuffled in place) and
     their values as the bits of one int, bit i for the i-th variable."""
-    rng.shuffle(free)
-    return free, rng.getrandbits(len(free))
+    getrandbits = rng.getrandbits
+    for i in range(len(free) - 1, 0, -1):  # rng.shuffle(free), call for call
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        free[i], free[j] = free[j], free[i]
+    return free, getrandbits(len(free))
 
 
 def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveResult:
@@ -470,23 +495,18 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     y, free, point = 0, list(range(n)), EpisodeKernel.START
     best_value, best_y = -1, 0
     arms, per_level, levels = [], [], []  # the level's arm data, budgets, snapshots
+    tables, wsum, sqrt = kernel.tables, kernel.wsum, math.sqrt
     t0 = time.perf_counter()
 
-    def episode(arm: int) -> float:
+    def shaped_episode(arm: int) -> float:
         nonlocal best_value, best_y
-        child_y, rest, rest_mask, start = arms[arm]
-        if shaped:
-            order, bits = shuffled_completion(rest, rng)
-            reward, value = kernel.shaped(start, order, bits, kind)
-            if value > best_value:
-                best_value = value
-                best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
-            return reward
-        full = uniform_completion(child_y, rest_mask, n, rng)
-        value = kernel.evaluate(full)[0]
+        child_y, rest, _, start = arms[arm]
+        order, bits = shuffled_completion(rest, rng)
+        reward, value = kernel.shaped(start, order, bits, kind)
         if value > best_value:
-            best_value, best_y = value, full
-        return float(value)
+            best_value = value
+            best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
+        return reward
 
     while free:
         # per arm: the child's assignment, its free variables as a list and
@@ -500,10 +520,31 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                 arms.append((y | bit << v, rest, rest_mask, start))
         level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
         budget = max(nominal, len(arms) + 1)
-        for arm in range(len(arms)):
-            backup(level, arm, episode(arm))
-        for arm in exploration_arms(level, cfg, rng, budget - len(arms)):
-            backup(level, arm, episode(arm))
+        visits, q_sum, r_max, r_min = level.visits, level.q_sum, level.r_max, level.r_min
+        mean, rad = level.mean, level.rad
+        # expansion, then exploration; the terminal episode and backup inlined
+        for arm in chain(range(len(arms)), exploration_arms(level, cfg, rng, budget - len(arms))):
+            if shaped:
+                reward = shaped_episode(arm)
+            else:
+                child_y, _, rest_mask, _ = arms[arm]
+                full = uniform_completion(child_y, rest_mask, n, rng)
+                sat = 0
+                for base, table in tables:  # kernel.evaluate
+                    sat |= table[full >> base & 0xFF]
+                value = wsum(sat)
+                if value > best_value:
+                    best_value, best_y = value, full
+                reward = float(value)
+            level.total += 1
+            v = visits[arm] = visits[arm] + 1
+            q = q_sum[arm] = q_sum[arm] + reward
+            mean[arm] = q / v
+            rad[arm] = 1.0 / sqrt(v)
+            if reward > r_max[arm]:
+                r_max[arm] = reward
+            if reward < r_min[arm]:
+                r_min[arm] = reward
         y, rest, _, point = arms[select_best_child(level, cfg.exploit_rule, rng)]
         free = sorted(rest)
         per_level.append(budget)

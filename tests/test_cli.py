@@ -113,6 +113,13 @@ class TestExitCodes:
         assert run_cli(["gen:n=4,m=8,count=0"]) == 1
         err = capsys.readouterr().err
         assert "key 'count' in 'gen:n=4,m=8,count=0' must be >= 1" in err
+        for spec, message in [
+            ("gen:n=4,m=8,hard=-1", "key 'hard' in 'gen:n=4,m=8,hard=-1' must be in [0, 8], got -1"),
+            ("gen:n=2,m=2,k=5", "key 'k' in 'gen:n=2,m=2,k=5' must be in [1, 2], got 5"),
+            ("gen:n=4,m=8,weighted=2", "key 'weighted' in 'gen:n=4,m=8,weighted=2' must be in [0, 1]"),
+        ]:
+            assert run_cli([spec]) == 1
+            assert message in capsys.readouterr().err
 
     def test_parse_failure_is_2_and_run_continues(self, tmp_path, capsys):
         good = tmp_path / "good.cnf"

@@ -13,6 +13,7 @@ from mctsat import (
     ExploitRule,
     LevelStats,
     ProblemClass,
+    RewardKind,
     SolverConfig,
     backup,
     brute_force,
@@ -462,19 +463,60 @@ class TestSolve:
             solve(f, ProblemClass.MAXSAT, SolverConfig(**{field: value}))
 
     def test_tree_accounting_invariants(self):
+        # solve's loop writes the level lists itself; they must be what
+        # ``backup`` would have written, the caches exactly
         rng = random.Random(2)
-        for _ in range(5):
+        for reward in [kind for kind in RewardKind for _ in range(5)]:
             f = generate_random(6, 14, 3, weighted=rng.random() < 0.5, seed=rng.randint(0, 999))
             cls = classify(f)
-            res = solve(f, cls, SolverConfig(seed=rng.randint(0, 999), keep_trees=True))
+            cfg = SolverConfig(seed=rng.randint(0, 999), reward=reward, keep_trees=True)
+            res = solve(f, cls, cfg)
             assert len(res.level_roots) == f.num_vars
             for root in res.level_roots:
                 assert root.total == sum(root.visits)
+                for a, visits in enumerate(root.visits):
+                    assert root.mean[a] == root.q_sum[a] / visits
+                    assert root.rad[a] == 1.0 / math.sqrt(visits)
                 nodes = [(sum(root.q_sum), root.total, min(root.r_min), max(root.r_max))]
                 nodes += zip(root.q_sum, root.visits, root.r_min, root.r_max)
                 for q_sum, visits, r_min, r_max in nodes:
                     mean = q_sum / visits
                     assert r_min - 1e-9 <= mean <= r_max + 1e-9
+
+    @pytest.mark.parametrize(
+        "reward, bits, value, visits",
+        [
+            (
+                RewardKind.TERMINAL, "11111011000001001000", 91,
+                (4, 2, 1, 10, 21, 3, 1, 77, 2, 30, 4, 35, 8, 114, 1, 1, 50, 9, 1, 6,
+                 1, 1, 5, 18, 20, 1, 36, 1, 3, 13, 18, 19, 2, 1, 6, 13, 72, 1, 11, 15),
+            ),
+            (
+                RewardKind.INCREMENT_WEIGHTED, "010111100010", 57575,
+                (7, 1, 1, 1, 66, 1, 1, 1, 1, 8, 5, 9, 3, 1, 2, 1, 3, 1, 2, 2, 65, 31, 66, 1),
+            ),
+            (
+                RewardKind.PREFIX_WEIGHTED, "011111110010", 57575,
+                (1, 1, 1, 1, 2, 1, 1, 131, 1, 2, 1, 1, 1, 1, 1, 1, 1, 122, 1, 1, 1, 3, 2, 1),
+            ),
+            (
+                RewardKind.MIXED, "011111100010", 57575,
+                (1, 1, 1, 1, 2, 1, 1, 251, 1, 2, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 2, 2, 1),
+            ),
+        ],
+        ids=["uf20-01-terminal", "gen-r1", "gen-r2", "gen-mixed"],
+    )
+    def test_rng_stream_pinned_at_full_budget(self, uf20_texts, reward, bits, value, visits):
+        # hundreds of exploration draws, completions and shuffles per level:
+        # any change to the RNG calls moves these values
+        if reward is RewardKind.TERMINAL:
+            f = parse_cnf(uf20_texts[0])
+        else:
+            f = generate_random(12, 40, 3, weighted=True, hard_count=2, seed=4)
+        res = solve(f, classify(f), SolverConfig(seed=1, reward=reward, keep_trees=True))
+        assert "".join(map(str, res.assignment)) == bits
+        assert res.objective == value
+        assert res.level_roots[0].visits == visits
 
     @pytest.mark.parametrize("top", [2**62, 2**64])
     def test_weights_beyond_int64_are_exact(self, top):
