@@ -3,7 +3,9 @@
 Clause j turns into the row constraint ``a_y[j] @ y + b[j] >= 1`` over the
 binary assignment vector y, where a_y[j][i] is the net count of positive minus
 negated occurrences of variable i in clause j and b[j] counts the negated
-literals.  The objective is the w-weighted sum of satisfied rows.
+literals.  The objective is the w-weighted sum of satisfied rows; w holds
+the weights as exact Python ints (an object array), so the sum is exact for
+any weight, with no int64 limit.
 
 numpy is imported only inside the functions that build or read this matrix
 view, so the search, which scores on int bitsets, runs without it.
@@ -12,7 +14,7 @@ view, so the search, which scores on int bitsets, runs without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .instances import Formula, ProblemClass, check_hard_weight_rule
 
@@ -31,7 +33,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class BlpProblem:
     """Objective weights, coefficient matrix and negation counts of one instance."""
 
-    w: np.ndarray  # (m,) int64
+    w: np.ndarray  # (m,) object: exact Python ints, no int64 limit
     a_y: np.ndarray  # (m, n) int64
     b: np.ndarray  # (m,) int64
 
@@ -87,18 +89,13 @@ def checked_weights(f: Formula, problem_class: ProblemClass) -> list[int]:
     return objective_weights(f, problem_class)
 
 
-class ClauseRows(NamedTuple):
-    """The row constraints' coefficient matrix a_y and negation counts b."""
-
-    a_y: np.ndarray
-    b: np.ndarray
-
-
-def clause_rows(f: Formula) -> ClauseRows:
-    """The rows of ``f``, without the weights ``to_blp`` adds."""
+def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
+    """Build the (w, a_y, b) reduction; raises like ``checked_weights``.  w
+    holds the weights as exact Python ints, with no int64 limit."""
     import numpy as np
 
     m, n = f.num_clauses, f.num_vars
+    w = np.array(checked_weights(f, problem_class), dtype=object)
     a_y = np.zeros((m, n), dtype=np.int64)
     b = np.zeros(m, dtype=np.int64)
     for j, clause in enumerate(f.clauses):
@@ -108,21 +105,7 @@ def clause_rows(f: Formula) -> ClauseRows:
                 b[j] += 1
             else:
                 a_y[j, lit.var - 1] += 1
-    return ClauseRows(_frozen(a_y), _frozen(b))
-
-
-def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
-    """Build the (w, a_y, b) reduction; raises like ``checked_weights``, and
-    ``ValueError`` for a weight above the int64 limit of ``w``."""
-    import numpy as np
-
-    weights = checked_weights(f, problem_class)
-    try:
-        w = np.asarray(weights, dtype=np.int64).reshape(f.num_clauses)
-    except OverflowError:
-        limit = np.iinfo(np.int64).max
-        raise ValueError(f"clause weights above the int64 limit {limit} do not fit w") from None
-    return BlpProblem(_frozen(w), *clause_rows(f))
+    return BlpProblem(_frozen(w), _frozen(a_y), _frozen(b))
 
 
 def to_tableaux(p: BlpProblem) -> SatTableaux:
@@ -133,14 +116,9 @@ def to_tableaux(p: BlpProblem) -> SatTableaux:
     return SatTableaux(p.w, p.a_y, _frozen(y))
 
 
-def satisfied_mask(p: BlpProblem | ClauseRows, y: np.ndarray) -> np.ndarray:
+def satisfied_mask(p: BlpProblem, y: np.ndarray) -> np.ndarray:
     """Boolean per-clause satisfaction of a full assignment via the row test."""
     return (p.a_y @ y + p.b) >= 1
-
-
-def exact_value(weights: list[int], sat: np.ndarray) -> int:
-    """Weight of the satisfied clauses, summed exactly as Python ints."""
-    return sum(w for w, s in zip(weights, sat.tolist()) if s)
 
 
 @dataclass(frozen=True)
@@ -159,8 +137,9 @@ def objective(f: Formula, problem_class: ProblemClass, y) -> ObjectiveResult:
     arr = np.asarray(y)
     if arr.shape != (f.num_vars,) or not (((arr == 0) | (arr == 1)).all()):
         raise ValueError("assignment must be a complete 0/1 vector of length n")
-    sat = satisfied_mask(clause_rows(f), arr.astype(np.int64))
-    value = exact_value(checked_weights(f, problem_class), sat)
+    p = to_blp(f, problem_class)
+    sat = satisfied_mask(p, arr.astype(np.int64))
+    value = int(p.w[sat].sum())
     hard_violations = tuple(
         int(j) for j in np.flatnonzero(~sat) if f.clauses[j].hard
     )

@@ -17,6 +17,8 @@ float columns have fixed decimals: alpha 1, mean_objective and norm_objective
 rounded to their CSV decimals, solve's wall_ms is not.
 
 Exit codes: 0 success, 1 usage error, 2 parse failures, 3 oracle mismatch.
+
+No mode needs numpy: every mode runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -193,11 +195,7 @@ def _load_inputs(args) -> tuple[list[tuple[str, Formula]], bool]:
 
 
 def _resolve_class(formula: Formula, token: str) -> ProblemClass:
-    if token != "auto":
-        return ProblemClass(token)
-    if formula.declared_class is not None:
-        return formula.declared_class
-    return classify(formula)
+    return classify(formula) if token == "auto" else ProblemClass(token)
 
 
 def _config(args, seed: int, alpha=None, reward=None) -> SolverConfig:
@@ -288,12 +286,12 @@ def _mode_oracle_check(instances, args) -> int:
 
 def _iqr_normalizer(values):
     """Clamp-to-[0,1] interquartile normalization over a value population."""
-    import numpy as np
+    import statistics
 
-    q1, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 75.0])
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     if q3 == q1:
         return lambda v: 0.5
-    return lambda v: float(min(1.0, max(0.0, (v - q1) / (q3 - q1))))
+    return lambda v: min(1.0, max(0.0, (v - q1) / (q3 - q1)))
 
 
 def _sweep(instances, args, knob, values, columns) -> int:

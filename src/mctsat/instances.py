@@ -78,7 +78,6 @@ class Formula:
     num_vars: int
     clauses: tuple[Clause, ...]
     top_weight: int | None = None
-    declared_class: ProblemClass | None = None
 
     def __post_init__(self):
         if self.num_vars < 0:

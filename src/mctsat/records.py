@@ -99,7 +99,3 @@ def csv_cells(row: dict) -> list[str]:
             cells.append(str(value))
     return cells
 
-
-def csv_row(record: SolveRecord) -> list[str]:
-    """Row matching CSV_COLUMNS; assignment and violations space-separated."""
-    return csv_cells(record_row(record))

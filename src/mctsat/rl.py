@@ -16,16 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .blp import (
-    UNASSIGNED,
-    SatTableaux,
-    checked_weights,
-    clause_rows,
-    exact_value,
-    satisfied_mask,
-    to_blp,
-    to_tableaux,
-)
+from .blp import UNASSIGNED, SatTableaux, satisfied_mask, to_blp, to_tableaux
 from .instances import Formula, ProblemClass
 
 if TYPE_CHECKING:
@@ -144,8 +135,7 @@ class EpisodeScorer:
     def __init__(self, f: Formula, problem_class: ProblemClass):
         self.num_vars = f.num_vars
         self.num_clauses = f.num_clauses
-        self.rows = clause_rows(f)
-        self._weights = checked_weights(f, problem_class)
+        self.problem = to_blp(f, problem_class)
         self._formula = f
         sat_if_one: list[list[int]] = [[] for _ in range(f.num_vars + 1)]
         sat_if_zero: list[list[int]] = [[] for _ in range(f.num_vars + 1)]
@@ -156,11 +146,12 @@ class EpisodeScorer:
 
     def terminal_value(self, y: np.ndarray) -> int:
         """Weighted satisfied sum of a full assignment, exact in Python ints."""
-        return exact_value(self._weights, satisfied_mask(self.rows, y))
+        p = self.problem
+        return int(p.w[satisfied_mask(p, y)].sum())
 
     def partial_values(self, episode: Episode) -> list[int]:
         """Partial objectives v_d..v_n along the episode, d = starting depth."""
-        weights = self._weights
+        weights = self.problem.w
         if not episode.steps:
             return [self.terminal_value(episode.terminal_assignment)]
         start = episode.steps[0][0]

@@ -83,11 +83,13 @@ class TestMatrixConstruction:
 
 
 class TestWeightRules:
-    def test_weight_beyond_int64_rejected_by_name(self):
+    def test_weight_beyond_int64_kept_exact(self):
         top = 2**64
         f = parse_wcnf(f"p wcnf 2 3 {top}\n{top} 1 0\n{top} 2 0\n1 -1 -2 0\n")
-        with pytest.raises(ValueError, match="int64 limit 9223372036854775807"):
-            to_blp(f, classify(f))
+        p = to_blp(f, classify(f))
+        assert p.w.tolist() == [2**64, 2**64, 1]
+        weights = [line.split(" | ")[0].strip() for line in format_blp(p).splitlines()[1:]]
+        assert weights == [str(2**64), str(2**64), "1"]
         assert to_blp(f, ProblemClass.MAXSAT).w.tolist() == [1, 1, 1]
 
     def test_maxsat_all_ones(self):

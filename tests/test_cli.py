@@ -356,11 +356,11 @@ def modes_then_numpy(runs):
 
 
 class TestColdStart:
-    """The search needs no numpy: importing the package and four of the five
-    modes leave it unloaded.  Each case runs in a fresh interpreter, since the
-    test process itself may hold numpy."""
+    """No mode needs numpy: importing the package and running all five modes
+    leave it unloaded.  The modes run in a fresh interpreter, since the test
+    process itself may hold numpy."""
 
-    def test_four_modes_load_no_numpy(self):
+    def test_five_modes_load_no_numpy(self):
         gen = "gen:n=6,m=14,count=2,seed=3"
         lines, codes, numpy_loaded = modes_then_numpy(
             [
@@ -368,19 +368,13 @@ class TestColdStart:
                 [gen, "--mode", "enumerate", "--executions", "2"],
                 [gen, "--mode", "oracle-check", "--explore-factor", "30"],
                 [gen, "--mode", "ablation", "--repeats", "1"],
+                ["gen:n=4,m=8", "--mode", "alpha-grid", "--repeats", "1"],
             ]
         )
-        assert codes == [0, 0, 0, 0]
+        assert codes == [0, 0, 0, 0, 0]
         assert json.loads(lines[0])["objective"] == 91
+        assert [json.loads(line)["alpha"] for line in lines[-11:]] == [i / 10 for i in range(11)]
         assert not numpy_loaded
-
-    def test_alpha_grid_loads_numpy(self):
-        lines, codes, numpy_loaded = modes_then_numpy(
-            [["gen:n=4,m=8", "--mode", "alpha-grid", "--repeats", "1"]]
-        )
-        assert codes == [0]
-        assert len(lines) == 11
-        assert numpy_loaded
 
 
 class TestDeterminism:

@@ -69,6 +69,14 @@ def test_weight_sum_is_exact():
             assert kernel.wsum(s) == exact
 
 
+def huge_weight_instance(n, seed):
+    """A weighted formula whose weights all lie in [2**63, 2**70], past int64."""
+    rng = random.Random(seed)
+    f = generate_random(n, 3 * n + 2, min(3, n), seed=seed)
+    clauses = tuple(Clause(c.literals, rng.randint(2**63, 2**70)) for c in f.clauses)
+    return Formula(n, clauses), ProblemClass.WEIGHTED_MAXSAT
+
+
 def reference_episode(f, cls, order, bits):
     """The Episode that assigns order[i] the i-th bit, from depth 0."""
     state, _ = initial_state(f, cls)
@@ -83,7 +91,7 @@ def reference_episode(f, cls, order, bits):
 @pytest.mark.parametrize("n", [1, 7, 9])
 def test_shaped_reward_equals_episode_scorer(n):
     rng = random.Random(7 * n)
-    for f, cls in instances(n, seed=200 + n):
+    for f, cls in [*instances(n, seed=200 + n), huge_weight_instance(n, seed=300 + n)]:
         kernel = EpisodeKernel(f, cls)
         scorer = EpisodeScorer(f, cls)
         for _ in range(25):

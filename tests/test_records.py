@@ -8,14 +8,13 @@ from mctsat import (
     ProblemClass,
     SolveRecord,
     SolverConfig,
-    csv_row,
     make_record,
     parse_cnf,
     parse_result,
     record_to_json,
     solve,
 )
-from mctsat.records import csv_cells
+from mctsat.records import csv_cells, record_row
 
 
 def random_record(rng):
@@ -66,7 +65,7 @@ def test_example_row_content():
         seed=0,
         wall_ms=1.0,
     )
-    row = csv_row(record)
+    row = csv_cells(record_row(record))
     assert row[CSV_COLUMNS.index("objective")] == "2"
     assert row[CSV_COLUMNS.index("assignment")] == "1 0"
 
@@ -85,7 +84,7 @@ def test_degenerate_zero_record_valid():
         wall_ms=0.0,
     )
     assert parse_result(record_to_json(record)) == record
-    assert len(csv_row(record)) == len(CSV_COLUMNS)
+    assert len(csv_cells(record_row(record))) == len(CSV_COLUMNS)
 
 
 def test_csv_cells_rule():
