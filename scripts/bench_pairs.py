@@ -7,16 +7,19 @@
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each source tree, on the same seed; even pairs run the
-parent first and odd pairs the change.  The output holds the machine, the
-seeds, every metric of every run, and per workload and metric each side's
-median and quartiles and the pairs the change won, lost and tied, judged by
-the metric's ``better`` direction in the parent's BENCHMARK.json.
+parent first and odd pairs the change.  The workloads are those of the
+parent's BENCHMARK.json.  The output holds the machine, the seeds, every
+metric of every run, and per workload and metric each side's median and
+quartiles and the pairs the change won, lost and tied, judged by the metric's
+``better`` direction in the parent's BENCHMARK.json.  The script ends by
+printing one line per workload with the ``episodes_per_ys`` summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -24,7 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("uf20-terminal", "shaped-mix")
+HEADLINE = "episodes_per_ys"
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -64,6 +67,18 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def headline(workload: str, s: dict) -> str:
+    """One line: each side's median [q1, q3] of the headline metric, the
+    change in the median, and the pairs won and lost."""
+    p, c = s["parent"], s["change"]
+    delta = (c["median"] - p["median"]) / p["median"] if p["median"] else math.nan
+    return (
+        f"{workload}: {HEADLINE} parent {p['median']:.1f} [{p['q1']:.1f}, {p['q3']:.1f}]"
+        f" change {c['median']:.1f} [{c['q1']:.1f}, {c['q3']:.1f}] ({delta:+.1%});"
+        f" won {s['won']}, lost {s['lost']}, tied {s['tied']}"
+    )
+
+
 def machine() -> dict:
     info = {
         "cpu_count": os.cpu_count(),
@@ -100,7 +115,7 @@ def main(argv=None) -> int:
         "order": "even pairs run the parent first, odd pairs the change first",
         "workloads": {},
     }
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for i, seed in enumerate(args.seeds):
             sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -108,10 +123,12 @@ def main(argv=None) -> int:
             for side in sides:
                 pair[side] = run(trees[side], workload, seed, args.seconds)
             pairs.append(pair)
-            print(workload, seed, {s: pair[s]["metrics"]["episodes_per_ys"] for s in sides},
+            print(workload, seed, {s: pair[s]["metrics"][HEADLINE] for s in sides},
                   file=sys.stderr, flush=True)
         report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, better)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, data in report["workloads"].items():
+        print(headline(workload, data["summary"][HEADLINE]))
     return 0
 
 

@@ -39,8 +39,19 @@ are ints with bit v set when variable v + 1 is 1; clause sets are ints with
 bit j for clause j; ``lit[v][b]`` holds the clauses satisfied by v + 1 = b.
 A 256-entry table per byte of variables maps that byte of a full assignment
 to the union of its literals' sets, so scoring takes ceil(n / 8) lookups.  A
-set's weight is its popcount for unit weights, else the sum of its clauses'
-weights over its set bits: exact integer arithmetic for any weight.
+set's weight (``wsum``) is its popcount for unit weights, else the sum of its
+clauses' weights over its set bits: exact integer arithmetic for any weight.
+A shaped reward scores every step by its gain, the weight of the clauses the
+step newly satisfies, new = lit[v][b] & ~sat.  A gain depends on the set new
+alone, so ``advance`` looks it up in the kernel's ``gains`` dict, keyed by
+new, and calls ``wsum`` only on a miss: a hit is the int ``wsum`` returned
+for that very set.  Each key is a subset of one literal's clause set, so the
+dict holds at most the sum of 2^|lit[v][b]| over the literals, in practice
+600-1,600 entries on a shaped solve at n = 14, m = 50; it lives as long as
+the kernel, one solve.  ``evaluate`` scores whole assignments, which seldom
+repeat, with ``wsum`` directly.  Rewards are floats, so ``solve`` refuses
+weights whose total x (n + 1) x level budget exceeds the largest float,
+which bounds every reward and every arm's reward sum.
 
 A uniform rollout draws one of the 2(n - k) remaining actions per step, so
 each free variable ends up a fair bit, independent of the others and of the
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from bisect import bisect
 from dataclasses import dataclass, field, replace
@@ -382,6 +394,12 @@ class EpisodeKernel:
     sums ``EpisodeScorer.score``'s r1 or r2 terms in its order and with its
     float expressions; so ``shaped`` equals the reference reward of an
     episode from depth 0.
+
+    ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
+    keyed by that set.  ``advance`` fills and reads it; a hit is the exact
+    int ``wsum`` computed for the same key.  Every key is a subset of one
+    ``lit[v][b]``, which bounds the dict by the sum of 2^|lit[v][b]| (see
+    the module docstring for the sizes met in practice).
     """
 
     START = (0, 0, 0, 0.0)
@@ -413,6 +431,7 @@ class EpisodeKernel:
             self.wsum = wsum
         # step s has the coefficient (n + 1 - s) / n in both r1 and r2
         self.coef = [0.0] + [(n + 1 - s) / n for s in range(1, n + 1)]
+        self.gains: dict[int, int] = {}  # wsum of each step's new set seen so far
 
     def evaluate(self, y: int) -> tuple[int, int]:
         """(value, satisfied clause set) of a full assignment."""
@@ -425,13 +444,16 @@ class EpisodeKernel:
         """The point after giving ``order[i]`` bit i of ``bits``; ``total``
         sums the r1 terms when ``increment``, else the r2 terms."""
         s, sat, value, total = point
-        lit, coef, wsum = self.lit, self.coef, self.wsum
+        lit, coef, gains = self.lit, self.coef, self.gains
         for var in order:
             new = lit[var][bits & 1] & ~sat
             bits >>= 1
             s += 1
             if new:
-                gain = wsum(new)
+                try:
+                    gain = gains[new]
+                except KeyError:
+                    gain = gains[new] = self.wsum(new)
                 sat |= new
                 value += gain
                 if increment and s > 1:  # r1 skips the first step's gain
@@ -475,7 +497,8 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     draw.  The committed path is returned unless some episode found a strictly
     better assignment, in which case that incumbent wins; keeping the path on
     ties preserves the randomized tie-breaking that multi-optimum enumeration
-    relies on.  Deterministic for a fixed seed.
+    relies on.  Deterministic for a fixed seed.  Refuses weights too large
+    for float rewards (see the module docstring) with a ValueError.
     """
     if not 0.0 <= cfg.alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {cfg.alpha}")
@@ -487,26 +510,24 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     if n == 0:
         raise ValueError("formula has no variables")
     kernel = EpisodeKernel(f, problem_class)
-    rng = random.Random(cfg.seed)
     nominal = math.ceil(cfg.explore_factor * m)
+    # a reward is at most (n + 1) / 2 times the total weight and an arm sums at
+    # most a level budget of them (level 0's, the largest); the spare factor 2
+    # covers the floats' rounding
+    if kernel.wsum((1 << m) - 1) * (n + 1) * max(nominal, 2 * n + 1) > sys.float_info.max:
+        raise ValueError(
+            "weights too large for the search's float rewards: total weight x (n + 1)"
+            f" x level budget must not exceed the largest float, {sys.float_info.max!r}"
+        )
+    rng = random.Random(cfg.seed)
     kind = cfg.reward
     shaped = kind is not RewardKind.TERMINAL
     increment = kind is RewardKind.INCREMENT_WEIGHTED
     y, free, point = 0, list(range(n)), EpisodeKernel.START
     best_value, best_y = -1, 0
-    arms, per_level, levels = [], [], []  # the level's arm data, budgets, snapshots
+    per_level, levels = [], []  # budgets, snapshots
     tables, wsum, sqrt = kernel.tables, kernel.wsum, math.sqrt
     t0 = time.perf_counter()
-
-    def shaped_episode(arm: int) -> float:
-        nonlocal best_value, best_y
-        child_y, rest, _, start = arms[arm]
-        order, bits = shuffled_completion(rest, rng)
-        reward, value = kernel.shaped(start, order, bits, kind)
-        if value > best_value:
-            best_value = value
-            best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
-        return reward
 
     while free:
         # per arm: the child's assignment, its free variables as a list and
@@ -525,7 +546,12 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
         # expansion, then exploration; the terminal episode and backup inlined
         for arm in chain(range(len(arms)), exploration_arms(level, cfg, rng, budget - len(arms))):
             if shaped:
-                reward = shaped_episode(arm)
+                child_y, rest, _, start = arms[arm]
+                order, bits = shuffled_completion(rest, rng)
+                reward, value = kernel.shaped(start, order, bits, kind)
+                if value > best_value:
+                    best_value = value
+                    best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
             else:
                 child_y, _, rest_mask, _ = arms[arm]
                 full = uniform_completion(child_y, rest_mask, n, rng)

@@ -210,6 +210,22 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
 
+    @pytest.mark.parametrize(
+        "weights", [(2**1100, 3), (2**1022, 2**1022)], ids=["float-overflow", "sum-overflow"]
+    )
+    def test_weights_beyond_float_are_1(self, tmp_path, weights):
+        # a reward the search cannot hold as a float: refused by name, not a traceback
+        a, b = weights
+        wcnf = tmp_path / "huge.wcnf"
+        wcnf.write_text(f"p wcnf 2 2\n{a} 1 2 0\n{b} -1 0\n")
+        for reward in ("terminal", "r2"):
+            proc = run_python(["-m", "mctsat.cli", str(wcnf), "--reward", reward])
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("error: ")
+            assert "largest float" in proc.stderr
+            assert proc.stdout == ""
+
     def test_oracle_guard_is_1(self, tmp_path, capsys):
         cnf = tmp_path / "big.cnf"
         cnf.write_text("p cnf 25 1\n1 2 25 0\n")

@@ -107,6 +107,36 @@ def test_shaped_reward_equals_episode_scorer(n):
                 assert value == scorer.terminal_value(episode.terminal_assignment)
 
 
+@pytest.mark.parametrize("n", [7, 9])
+def test_cached_step_gains_are_exact(n):
+    # a kernel whose step-gain cache is warm scores like a fresh one, and
+    # every cached gain is the weight sum of a part of one literal's clauses
+    rng = random.Random(11 * n)
+    for f, cls in [*instances(n, seed=400 + n), huge_weight_instance(n, seed=500 + n)]:
+        warm = EpisodeKernel(f, cls)
+        for _ in range(200):
+            order = rng.sample(range(n), rng.randint(0, n))
+            warm.advance(EpisodeKernel.START, order, rng.getrandbits(n), rng.random() < 0.5)
+        fresh = EpisodeKernel(f, cls)
+        for _ in range(200):
+            order = rng.sample(range(n), n)
+            bits = rng.getrandbits(n)
+            k = rng.randint(0, n)
+            increment = rng.random() < 0.5
+            points = []
+            for kernel in (warm, fresh):
+                prefix = kernel.advance(EpisodeKernel.START, order[:k], bits, increment)
+                points.append(kernel.advance(prefix, order[k:], bits >> k, increment))
+            assert points[0] == points[1]
+            _, sat, value, _ = points[0]
+            assert value == fresh.wsum(sat)
+        for kernel in (warm, fresh):
+            literal_sets = [s for pair in kernel.lit for s in pair]
+            for new, gain in kernel.gains.items():
+                assert any(new & ~s == 0 for s in literal_sets)
+                assert gain == kernel.wsum(new)
+
+
 def test_uniform_completion_frequencies():
     # committed: variable 2 = 1, variable 4 = 0; free: variables 1, 3, 5
     committed, free = 0b00010, 0b10101

@@ -484,35 +484,77 @@ class TestSolve:
                     assert r_min - 1e-9 <= mean <= r_max + 1e-9
 
     @pytest.mark.parametrize(
-        "reward, bits, value, visits",
+        "shape, reward, bits, value, visits",
         [
             (
-                RewardKind.TERMINAL, "11111011000001001000", 91,
+                "uf20-01", RewardKind.TERMINAL, "11111011000001001000", 91,
                 (4, 2, 1, 10, 21, 3, 1, 77, 2, 30, 4, 35, 8, 114, 1, 1, 50, 9, 1, 6,
                  1, 1, 5, 18, 20, 1, 36, 1, 3, 13, 18, 19, 2, 1, 6, 13, 72, 1, 11, 15),
             ),
             (
-                RewardKind.INCREMENT_WEIGHTED, "010111100010", 57575,
+                "wpms", RewardKind.INCREMENT_WEIGHTED, "010111100010", 57575,
                 (7, 1, 1, 1, 66, 1, 1, 1, 1, 8, 5, 9, 3, 1, 2, 1, 3, 1, 2, 2, 65, 31, 66, 1),
             ),
             (
-                RewardKind.PREFIX_WEIGHTED, "011111110010", 57575,
+                "wpms", RewardKind.PREFIX_WEIGHTED, "011111110010", 57575,
                 (1, 1, 1, 1, 2, 1, 1, 131, 1, 2, 1, 1, 1, 1, 1, 1, 1, 122, 1, 1, 1, 3, 2, 1),
             ),
             (
-                RewardKind.MIXED, "011111100010", 57575,
+                "wpms", RewardKind.MIXED, "011111100010", 57575,
                 (1, 1, 1, 1, 2, 1, 1, 251, 1, 2, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 2, 2, 1),
             ),
+            # unit weights, weights and a hard top weight through the step gains
+            (
+                "maxsat", RewardKind.INCREMENT_WEIGHTED, "010111100010", 40,
+                (1, 1, 52, 4, 84, 17, 1, 4, 1, 1, 4, 4, 2, 2, 6, 8, 1, 11, 3, 9, 1, 6, 44, 13),
+            ),
+            (
+                "maxsat", RewardKind.PREFIX_WEIGHTED, "001011100101", 40,
+                (1, 1, 2, 1, 1, 1, 252, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+            ),
+            (
+                "maxsat", RewardKind.MIXED, "101011111111", 39,
+                (1, 1, 2, 1, 1, 1, 248, 3, 1, 1, 1, 4, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+            ),
+            (
+                "wmaxsat", RewardKind.INCREMENT_WEIGHTED, "010111111010", 20149,
+                (1, 1, 83, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 4, 71, 1, 1, 11, 1, 1, 5, 65, 23),
+            ),
+            (
+                "wmaxsat", RewardKind.PREFIX_WEIGHTED, "010111110010", 20159,
+                (1, 1, 1, 1, 1, 1, 1, 1, 1, 255, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+            ),
+            (
+                "wmaxsat", RewardKind.MIXED, "010111001010", 20042,
+                (1, 1, 2, 1, 1, 1, 115, 1, 1, 138, 1, 3, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+            ),
+            (
+                "pms", RewardKind.INCREMENT_WEIGHTED, "101001101010", 115,
+                (2, 1, 1, 1, 3, 1, 1, 2, 1, 20, 18, 41, 25, 1, 37, 7, 3, 1, 19, 8, 28, 7, 29, 23),
+            ),
+            (
+                "pms", RewardKind.PREFIX_WEIGHTED, "011111001010", 115,
+                (1, 3, 83, 1, 4, 1, 1, 123, 1, 2, 2, 1, 1, 1, 1, 1, 1, 44, 1, 1, 1, 2, 2, 1),
+            ),
+            (
+                "pms", RewardKind.MIXED, "010111001011", 115,
+                (1, 2, 18, 1, 2, 1, 1, 125, 1, 3, 2, 1, 3, 1, 1, 1, 1, 107, 1, 1, 1, 2, 2, 1),
+            ),
         ],
-        ids=["uf20-01-terminal", "gen-r1", "gen-r2", "gen-mixed"],
+        ids=[
+            "uf20-01-terminal", "gen-r1", "gen-r2", "gen-mixed",
+            *(f"{c}-{r}" for c in ("maxsat", "wmaxsat", "pms") for r in ("r1", "r2", "mixed")),
+        ],
     )
-    def test_rng_stream_pinned_at_full_budget(self, uf20_texts, reward, bits, value, visits):
+    def test_rng_stream_pinned_at_full_budget(self, uf20_texts, shape, reward, bits, value, visits):
         # hundreds of exploration draws, completions and shuffles per level:
         # any change to the RNG calls moves these values
-        if reward is RewardKind.TERMINAL:
+        if shape == "uf20-01":
             f = parse_cnf(uf20_texts[0])
         else:
-            f = generate_random(12, 40, 3, weighted=True, hard_count=2, seed=4)
+            weighted, hard = {"wpms": (True, 2), "maxsat": (False, 0),
+                              "wmaxsat": (True, 0), "pms": (False, 2)}[shape]
+            f = generate_random(12, 40, 3, weighted=weighted, hard_count=hard, seed=4)
         res = solve(f, classify(f), SolverConfig(seed=1, reward=reward, keep_trees=True))
         assert "".join(map(str, res.assignment)) == bits
         assert res.objective == value
@@ -529,6 +571,34 @@ class TestSolve:
         assert res.objective == truth.optimum
         assert res.hard_violations == ()
         assert res.assignment in truth.optimal_set
+
+    @pytest.mark.parametrize(
+        "weights", [(2**1100, 3), (2**1022, 2**1022)], ids=["float-overflow", "sum-overflow"]
+    )
+    def test_weights_beyond_float_rejected_by_name(self, weights):
+        # 2**1100 is no float; two clauses of 2**1022 are, but their sum is not
+        a, b = weights
+        f = parse_wcnf(f"p wcnf 2 2\n{a} 1 2 0\n{b} -1 0\n")
+        cls = classify(f)
+        for reward in RewardKind:
+            with pytest.raises(ValueError, match="largest float"):
+                solve(f, cls, SolverConfig(seed=1, reward=reward))
+        # the exact layers keep these weights
+        truth = brute_force(f, cls)
+        assert truth.optimum == a + b
+        assert objective(f, cls, [0, 1]).value == a + b
+
+    def test_weights_within_float_limit_are_exact(self):
+        # total 2**1017 x (n + 1) x budget 14 = 2**1017 x 42 is below the largest float
+        top = 2**1016
+        f = parse_wcnf(f"p wcnf 2 2\n{top} 1 2 0\n{top} -1 0\n")
+        cls = classify(f)
+        for reward in RewardKind:
+            res = solve(f, cls, SolverConfig(seed=1, reward=reward, keep_trees=True))
+            assert res.objective == objective(f, cls, list(res.assignment)).value
+            assert all(math.isfinite(q) for level in res.level_roots for q in level.q_sum)
+            if reward is RewardKind.TERMINAL:
+                assert res.objective == 2 * top
 
     def test_matches_oracle_on_small_unweighted(self):
         rng = random.Random(500)
