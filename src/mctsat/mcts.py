@@ -510,6 +510,7 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     if n == 0:
         raise ValueError("formula has no variables")
     kernel = EpisodeKernel(f, problem_class)
+    rng = random.Random(cfg.seed)
     nominal = math.ceil(cfg.explore_factor * m)
     # a reward is at most (n + 1) / 2 times the total weight and an arm sums at
     # most a level budget of them (level 0's, the largest); the spare factor 2
@@ -519,7 +520,6 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
             "weights too large for the search's float rewards: total weight x (n + 1)"
             f" x level budget must not exceed the largest float, {sys.float_info.max!r}"
         )
-    rng = random.Random(cfg.seed)
     kind = cfg.reward
     shaped = kind is not RewardKind.TERMINAL
     increment = kind is RewardKind.INCREMENT_WEIGHTED
