@@ -517,8 +517,8 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     # covers the floats' rounding
     if kernel.wsum((1 << m) - 1) * (n + 1) * max(nominal, 2 * n + 1) > sys.float_info.max:
         raise ValueError(
-            "weights too large for the search's float rewards: total weight x (n + 1)"
-            f" x level budget must not exceed the largest float, {sys.float_info.max!r}"
+            "the search's float rewards need total weight x (n + 1) x level budget"
+            f" <= the largest float, {sys.float_info.max!r}"
         )
     kind = cfg.reward
     shaped = kind is not RewardKind.TERMINAL
