@@ -12,7 +12,11 @@ parent's BENCHMARK.json.  The output holds the machine, the seeds, every
 metric of every run, and per workload and metric each side's median and
 quartiles and the pairs the change won, lost and tied, judged by the metric's
 ``better`` direction in the parent's BENCHMARK.json.  The script ends by
-printing one line per workload with the ``episodes_per_ys`` summary.
+printing one line per workload with the ``episodes_per_ys`` summary, then
+one line per end-to-end metric whose median is worse on the change, with its
+relative change and its ``bound`` from the parent's BENCHMARK.json, then one
+line per failed run.  It exits 1 when any run is not ``correct`` or has a
+failed operation.
 """
 
 from __future__ import annotations
@@ -79,6 +83,35 @@ def headline(workload: str, s: dict) -> str:
     )
 
 
+def worse(workload: str, summaries: dict, bounds: dict[str, float]) -> list[str]:
+    """One line per metric whose change median is worse than the parent's."""
+    lines = []
+    for name, s in summaries.items():
+        p, c = s["parent"]["median"], s["change"]["median"]
+        sign = 1 if s["better"] == "higher" else -1
+        if sign * (c - p) >= 0:
+            continue
+        delta = (c - p) / p if p else math.copysign(math.inf, c - p)
+        verdict = "beyond" if abs(delta) > bounds[name] else "within"
+        lines.append(
+            f"{workload}: {name} worse, parent {p:.4g} change {c:.4g} ({delta:+.1%});"
+            f" {verdict} its bound {bounds[name]:.1%}"
+        )
+    return lines
+
+
+def failures(workload: str, pairs: list[dict]) -> list[str]:
+    """One line per run that is not correct or failed an operation."""
+    return [
+        f"{workload}: seed {pair['seed']} {side} run failed:"
+        f" correct {pair[side]['correct']}, failed {pair[side]['failed']}"
+        f" of {pair[side]['attempted']}"
+        for pair in pairs
+        for side in ("parent", "change")
+        if not pair[side]["correct"] or pair[side]["failed"] > 0
+    ]
+
+
 def machine() -> dict:
     info = {
         "cpu_count": os.cpu_count(),
@@ -106,6 +139,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S "
@@ -127,9 +161,16 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
         report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, better)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    for workload, data in report["workloads"].items():
+    workloads = report["workloads"].items()
+    for workload, data in workloads:
         print(headline(workload, data["summary"][HEADLINE]))
-    return 0
+    failed = [line for workload, data in workloads for line in failures(workload, data["pairs"])]
+    for workload, data in workloads:
+        for line in worse(workload, data["summary"], bounds):
+            print(line)
+    for line in failed:
+        print(line)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

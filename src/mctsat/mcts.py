@@ -51,7 +51,8 @@ dict holds at most the sum of 2^|lit[v][b]| over the literals, in practice
 the kernel, one solve.  ``evaluate`` scores whole assignments, which seldom
 repeat, with ``wsum`` directly.  Rewards are floats, so ``solve`` refuses
 weights whose total x (n + 1) x level budget exceeds the largest float,
-which bounds every reward and every arm's reward sum.
+which bounds every reward and every arm's reward sum, and a c whose largest
+bonus, added to the largest reward, would overflow a UCT value.
 
 A uniform rollout draws one of the 2(n - k) remaining actions per step, so
 each free variable ends up a fair bit, independent of the others and of the
@@ -59,6 +60,14 @@ order of the draws.  The terminal reward depends on the final assignment
 only, so ``uniform_completion`` draws all free bits from one ``getrandbits``:
 the same distribution.  Shaped rewards depend on the order too, and
 ``shuffled_completion`` draws a uniform order, then independent fair bits.
+
+``solve`` runs each episode inline, in its own frame, as it does the backup:
+the terminal episode is ``uniform_completion`` plus ``evaluate``, and the
+shaped episode is ``shuffled_completion`` (its swaps on the arm's ``rest``
+list, then the one bit draw) followed by ``EpisodeKernel.shaped``, which
+walks ``advance``'s steps and adds its terms in the same order.  The three
+functions stay as the references that the tests hold ``solve`` to, with the
+same RNG calls and the same float expressions, so the same rewards.
 """
 
 from __future__ import annotations
@@ -185,12 +194,12 @@ def exploration_eligible(level: LevelStats, cfg: SolverConfig) -> list[int]:
     Every arm must have a visit."""
     if not level.visits:
         raise ValueError("level has no arms")
-    s = cfg.uct_c * math.sqrt(2.0 * math.log(level.total))
-    # with no bonus the values are the means: 0 * inf would turn an unvisited
-    # arm's value into nan, which no comparison catches
-    ucts = [m + s * r for m, r in zip(level.mean, level.rad)] if s else level.mean
-    if max(ucts) == math.inf:
+    if math.inf in level.rad:
         raise ValueError("every arm needs a visit")
+    s = cfg.uct_c * math.sqrt(2.0 * math.log(level.total))
+    ucts = [m + s * r for m, r in zip(level.mean, level.rad)]
+    if not (-math.inf < min(ucts) and max(ucts) < math.inf):  # nan fails both
+        raise ValueError(f"uct_c {cfg.uct_c} makes the UCT values overflow at N = {level.total}")
     thr = soft_threshold(ucts, cfg.alpha)
     return [i for i, u in enumerate(ucts) if u >= thr]
 
@@ -235,6 +244,10 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
         upper = [m + s_hi * r for m, r in zip(mean, rad)]
         by_lower = sorted(range(k), key=lower.__getitem__)
         by_upper = sorted(range(k), key=upper.__getitem__, reverse=True)
+        # a non-finite s or value would make a threshold nan and the eligible
+        # list empty; a finite s gives no nan bound, so the extremes decide
+        if not (-math.inf < lower[by_lower[0]] and upper[by_upper[0]] < math.inf):
+            raise ValueError(f"uct_c {c} makes the UCT values overflow at N <= {stop - 1}")
         hot, h = [by_upper[0]], 1  # hot: by_upper[:h] in index order
         for s in ss:
             us = [mean[a] + s * rad[a] for a in hot]
@@ -395,6 +408,10 @@ class EpisodeKernel:
     float expressions; so ``shaped`` equals the reference reward of an
     episode from depth 0.
 
+    ``solve`` runs ``shaped`` and ``advance``'s step walk inline, after its
+    inline ``shuffled_completion``; these methods are their references, and
+    ``advance`` still builds each arm's one-step start point.
+
     ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
     keyed by that set.  ``advance`` fills and reads it; a hit is the exact
     int ``wsum`` computed for the same key.  Every key is a subset of one
@@ -498,15 +515,19 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     better assignment, in which case that incumbent wins; keeping the path on
     ties preserves the randomized tie-breaking that multi-optimum enumeration
     relies on.  Deterministic for a fixed seed.  Refuses weights too large
-    for float rewards (see the module docstring) with a ValueError.
+    for float rewards, and knobs whose float arithmetic would overflow (see
+    the module docstring), with a ValueError.
     """
+    n, m = f.num_vars, f.num_clauses
     if not 0.0 <= cfg.alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {cfg.alpha}")
-    if not 0 < cfg.explore_factor < math.inf:
-        raise ValueError(f"explore_factor must be positive and finite, got {cfg.explore_factor}")
+    if not (cfg.explore_factor > 0 and cfg.explore_factor * m < math.inf):
+        raise ValueError(
+            f"explore_factor must be positive, with explore_factor x {m} clauses finite,"
+            f" got {cfg.explore_factor}"
+        )
     if not math.isfinite(cfg.uct_c):  # the bounds of exploration_arms need a finite s
         raise ValueError(f"uct_c must be finite, got {cfg.uct_c}")
-    n, m = f.num_vars, f.num_clauses
     if n == 0:
         raise ValueError("formula has no variables")
     kernel = EpisodeKernel(f, problem_class)
@@ -515,18 +536,29 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     # a reward is at most (n + 1) / 2 times the total weight and an arm sums at
     # most a level budget of them (level 0's, the largest); the spare factor 2
     # covers the floats' rounding
-    if kernel.wsum((1 << m) - 1) * (n + 1) * max(nominal, 2 * n + 1) > sys.float_info.max:
+    top, budget0 = kernel.wsum((1 << m) - 1) * (n + 1), max(nominal, 2 * n + 1)
+    if top * budget0 > sys.float_info.max:
         raise ValueError(
             "the search's float rewards need total weight x (n + 1) x level budget"
             f" <= the largest float, {sys.float_info.max!r}"
         )
+    # a UCT value is a mean reward plus at most |c| sqrt(2 ln N), N < budget0;
+    # with the same spare factor 2, no value or threshold overflows
+    if top + 2.0 * abs(cfg.uct_c) * math.sqrt(2.0 * math.log(budget0)) > sys.float_info.max:
+        raise ValueError(
+            f"uct_c x sqrt(2 ln level budget) plus the largest reward must be at most"
+            f" half the largest float, got uct_c {cfg.uct_c}"
+        )
     kind = cfg.reward
     shaped = kind is not RewardKind.TERMINAL
     increment = kind is RewardKind.INCREMENT_WEIGHTED
+    mixed = kind is RewardKind.MIXED
     y, free, point = 0, list(range(n)), EpisodeKernel.START
     best_value, best_y = -1, 0
     per_level, levels = [], []  # budgets, snapshots
     tables, wsum, sqrt = kernel.tables, kernel.wsum, math.sqrt
+    lit, gains, coef = kernel.lit, kernel.gains, kernel.coef
+    getrandbits = rng.getrandbits
     t0 = time.perf_counter()
 
     while free:
@@ -539,22 +571,47 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
             for bit in (0, 1):
                 start = kernel.advance(point, (v,), bit, increment) if shaped else None
                 arms.append((y | bit << v, rest, rest_mask, start))
+        # every arm's episode has the same length, so the same shuffle swaps,
+        # each (i, bits of its draw), and the same step coefficients
+        width = len(free) - 1
+        swaps = [(i, (i + 1).bit_length()) for i in range(width - 1, 0, -1)]
+        coefs = coef[n + 1 - width :]  # the last width steps' coefficients
         level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
         budget = max(nominal, len(arms) + 1)
         visits, q_sum, r_max, r_min = level.visits, level.q_sum, level.r_max, level.r_min
         mean, rad = level.mean, level.rad
-        # expansion, then exploration; the terminal episode and backup inlined
+        # expansion, then exploration; the episode and backup inlined
         for arm in chain(range(len(arms)), exploration_arms(level, cfg, rng, budget - len(arms))):
             if shaped:
-                child_y, rest, _, start = arms[arm]
-                order, bits = shuffled_completion(rest, rng)
-                reward, value = kernel.shaped(start, order, bits, kind)
+                child_y, rest, _, (_, sat, value, total) = arms[arm]
+                for i, size in swaps:  # shuffled_completion, in place on rest
+                    j = getrandbits(size)
+                    while j > i:
+                        j = getrandbits(size)
+                    rest[i], rest[j] = rest[j], rest[i]
+                bits = step = getrandbits(width)
+                # kernel.shaped: the walk of advance, its terms in its order
+                for var, cf in zip(rest, coefs):
+                    new = lit[var][step & 1] & ~sat
+                    step >>= 1
+                    if new:
+                        try:
+                            gain = gains[new]
+                        except KeyError:
+                            gain = gains[new] = wsum(new)
+                        sat |= new
+                        value += gain
+                        if increment:
+                            total += cf * gain
+                    if not increment:
+                        total += cf * value
+                reward = 0.5 * total + 0.5 * float(value) if mixed else total
                 if value > best_value:
                     best_value = value
-                    best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
+                    best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(rest))
             else:
                 child_y, _, rest_mask, _ = arms[arm]
-                full = uniform_completion(child_y, rest_mask, n, rng)
+                full = child_y | (getrandbits(n) & rest_mask)  # uniform_completion
                 sat = 0
                 for base, table in tables:  # kernel.evaluate
                     sat |= table[full >> base & 0xFF]

@@ -211,6 +211,25 @@ class TestExitCodes:
         assert field in proc.stderr
 
     @pytest.mark.parametrize(
+        "knobs, field",
+        [
+            (["--uct-c", "1e308", "--alpha", "0"], "uct_c"),
+            (["--uct-c", "1e308", "--alpha", "1"], "uct_c"),
+            (["--uct-c", "1e308"], "uct_c"),
+            (["--explore-factor", "1e308"], "explore_factor"),
+        ],
+    )
+    def test_overflowing_search_knob_is_1(self, knobs, field):
+        # finite knobs whose float arithmetic overflows: once a hang (an empty
+        # eligible list) or an OverflowError traceback, now refused up front
+        proc = run_python(["-m", "mctsat.cli", str(UF20_01), *knobs])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert field in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
         "weights", [(2**1100, 3), (2**1022, 2**1022)], ids=["float-overflow", "sum-overflow"]
     )
     def test_weights_beyond_float_are_1(self, tmp_path, weights):

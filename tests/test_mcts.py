@@ -5,6 +5,7 @@ import copy
 import math
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -34,7 +35,7 @@ from mctsat import (
     theory_budgets,
     uct_value,
 )
-from mctsat.mcts import STRETCH
+from mctsat.mcts import STRETCH, EpisodeKernel, shuffled_completion, uniform_completion
 
 
 def make_root(child_stats, parent_visits=None):
@@ -172,6 +173,25 @@ class TestExplorationArms:
         cfg = SolverConfig(alpha=alpha, uct_c=0.0)
         assert exploration_eligible(level, cfg) == [0, 1, 2, 3]
         assert next(exploration_arms(level, cfg, random.Random(3), 1)) in range(4)
+
+
+class TestOverflowingScale:
+    """A UCT scale or value past the float range would make every threshold
+    nan and the eligible list empty: both selection paths refuse it."""
+
+    @pytest.mark.parametrize(
+        "c, reward", [(math.inf, 3.0), (math.nan, 3.0), (1e308, 3.0), (1e308, 1e308), (-1e308, -1e308)]
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_refused_by_name(self, c, reward, alpha):
+        level = LevelStats.fresh([Action(i // 2 + 1, i % 2) for i in range(4)])
+        for arm in (0, 1, 2, 3, 0, 1):  # N = 6: 1e308 x sqrt(2 ln 6) is past the range
+            backup(level, arm, reward)
+        cfg = SolverConfig(alpha=alpha, uct_c=c)
+        with pytest.raises(ValueError, match="uct_c"):
+            exploration_eligible(level, cfg)
+        with pytest.raises(ValueError, match="uct_c"):
+            next(exploration_arms(level, cfg, random.Random(0), 1))
 
 
 class TestBackup:
@@ -455,6 +475,12 @@ class TestSolve:
             ("uct_c", -math.inf),
             ("explore_factor", math.inf),
             ("explore_factor", math.nan),
+            # finite knobs whose float arithmetic overflows: explore_factor x m,
+            # and c x sqrt(2 ln N) (or twice it, with the largest reward)
+            ("explore_factor", 1e308),
+            ("uct_c", 1e308),
+            ("uct_c", -1e308),
+            ("uct_c", 5e307),
         ],
     )
     def test_non_finite_config_rejected_by_name(self, field, value):
@@ -605,3 +631,66 @@ class TestSolve:
             )
             hits += res.objective == truth.optimum
         assert hits == 15
+
+
+def reference_search(f, cls, cfg):
+    """``solve``'s search from its public reference helpers: the final
+    assignment and the levels' statistics."""
+    kernel = EpisodeKernel(f, cls)
+    rng = random.Random(cfg.seed)
+    n, m = f.num_vars, f.num_clauses
+    nominal = math.ceil(cfg.explore_factor * m)
+    increment = cfg.reward is RewardKind.INCREMENT_WEIGHTED
+    y, free, point = 0, list(range(n)), EpisodeKernel.START
+    best_value, best_y, levels = -1, 0, []
+    while free:
+        arms = []
+        for v in free:
+            rest = [u for u in free if u != v]  # shared by both arms, shuffled in place
+            for bit in (0, 1):
+                arms.append((y | bit << v, rest, kernel.advance(point, (v,), bit, increment)))
+        level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
+        budget = max(nominal, len(arms) + 1)
+        for arm in chain(range(len(arms)), exploration_arms(level, cfg, rng, budget - len(arms))):
+            child_y, rest, start = arms[arm]
+            if cfg.reward is RewardKind.TERMINAL:
+                full = uniform_completion(child_y, sum(1 << u for u in rest), n, rng)
+                value = kernel.evaluate(full)[0]
+                reward = float(value)
+            else:
+                order, bits = shuffled_completion(rest, rng)
+                reward, value = kernel.shaped(start, order, bits, cfg.reward)
+                full = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
+            if value > best_value:
+                best_value, best_y = value, full
+            backup(level, arm, reward)
+        y, rest, point = arms[select_best_child(level, cfg.exploit_rule, rng)]
+        free = sorted(rest)
+        levels.append(level)
+    # the incumbent wins only when strictly better than the committed path
+    final_y = best_y if best_value > kernel.evaluate(y)[0] else y
+    return tuple(final_y >> v & 1 for v in range(n)), levels
+
+
+class TestReferenceSearch:
+    """``solve``, with its episodes and backup inline, against the same
+    search run through the reference helpers: equal floats, not close ones."""
+
+    @pytest.mark.parametrize("reward", list(RewardKind), ids=lambda r: r.value)
+    @pytest.mark.parametrize(
+        "weighted, hard", [(False, 0), (True, 0), (False, 2), (True, 2)],
+        ids=["maxsat", "wmaxsat", "pms", "wpms"],
+    )
+    def test_solve_matches_reference(self, weighted, hard, reward):
+        # n = 10 puts two bytes of variables, so two tables, in play
+        f = generate_random(10, 30, 3, weighted=weighted, hard_count=hard, seed=17 + 3 * hard)
+        cls = classify(f)
+        cfg = SolverConfig(seed=5 + weighted, reward=reward, keep_trees=True)
+        assignment, levels = reference_search(f, cls, cfg)
+        res = solve(f, cls, cfg)
+        assert res.assignment == assignment
+        assert len(res.level_roots) == len(levels) == f.num_vars
+        for got, want in zip(res.level_roots, levels):
+            assert got.actions == want.actions and got.total == want.total
+            for name in ("visits", "q_sum", "r_max", "r_min", "mean", "rad"):
+                assert list(getattr(got, name)) == getattr(want, name), name
