@@ -191,7 +191,7 @@ def soft_threshold(values, alpha: float) -> float:
 
 def exploration_eligible(level: LevelStats, cfg: SolverConfig) -> list[int]:
     """Arms whose UCT value (as ``uct_value``) reaches the soft threshold.
-    Every arm must have a visit."""
+    Every arm must have a visit, and every value must be finite."""
     if not level.visits:
         raise ValueError("level has no arms")
     if math.inf in level.rad:
@@ -220,7 +220,9 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     ``backup`` each yielded arm before asking for the next.
 
     Each arm's value is bounded per stretch and computed only when its
-    bounds can decide the draw (see the module docstring).
+    bounds can decide the draw (see the module docstring).  Like
+    ``exploration_eligible``, it raises a ValueError when a stretch's scale
+    or bounds are not finite.
     """
     if not level.visits:
         raise ValueError("level has no arms")
@@ -536,7 +538,8 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     # a reward is at most (n + 1) / 2 times the total weight and an arm sums at
     # most a level budget of them (level 0's, the largest); the spare factor 2
     # covers the floats' rounding
-    top, budget0 = kernel.wsum((1 << m) - 1) * (n + 1), max(nominal, 2 * n + 1)
+    all_clauses = (1 << m) - 1
+    top, budget0 = kernel.wsum(all_clauses) * (n + 1), max(nominal, 2 * n + 1)
     if top * budget0 > sys.float_info.max:
         raise ValueError(
             "the search's float rewards need total weight x (n + 1) x level budget"
@@ -590,16 +593,19 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                         j = getrandbits(size)
                     rest[i], rest[j] = rest[j], rest[i]
                 bits = step = getrandbits(width)
-                # kernel.shaped: the walk of advance, its terms in its order
+                # kernel.shaped: the walk of advance, its terms in its order;
+                # it keeps the unsatisfied clauses, as & with the negative ~sat
+                # is slower than with a positive int
+                unsat = all_clauses ^ sat
                 for var, cf in zip(rest, coefs):
-                    new = lit[var][step & 1] & ~sat
+                    new = lit[var][step & 1] & unsat
                     step >>= 1
                     if new:
                         try:
                             gain = gains[new]
                         except KeyError:
                             gain = gains[new] = wsum(new)
-                        sat |= new
+                        unsat ^= new
                         value += gain
                         if increment:
                             total += cf * gain

@@ -220,8 +220,8 @@ class TestExitCodes:
         ],
     )
     def test_overflowing_search_knob_is_1(self, knobs, field):
-        # finite knobs whose float arithmetic overflows: once a hang (an empty
-        # eligible list) or an OverflowError traceback, now refused up front
+        # finite knobs whose float arithmetic overflows: an inf UCT scale
+        # leaves no arm eligible, and an inf explore_factor x m is no count
         proc = run_python(["-m", "mctsat.cli", str(UF20_01), *knobs])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
