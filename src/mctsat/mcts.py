@@ -593,9 +593,9 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                         j = getrandbits(size)
                     rest[i], rest[j] = rest[j], rest[i]
                 bits = step = getrandbits(width)
-                # kernel.shaped: the walk of advance, its terms in its order;
-                # it keeps the unsatisfied clauses, as & with the negative ~sat
-                # is slower than with a positive int
+                # kernel.shaped: advance's walk and terms, in its order; each
+                # step follows the arm's own, so r1 counts every gain.  It keeps
+                # the unsatisfied clauses: & with the negative ~sat is slower
                 unsat = all_clauses ^ sat
                 for var, cf in zip(rest, coefs):
                     new = lit[var][step & 1] & unsat
