@@ -7,7 +7,8 @@ over an 11-point grid.  Inputs are DIMACS files or ``gen:`` specs such as
 
 Output: ``--format json`` (the default) writes one JSON object per row;
 ``--format csv`` writes a header, then one line per row with the same
-columns in the same order.  solve and oracle-check give one row per
+columns in the same order.  solve gives one row per instance, the dict of
+``records.make_record`` keyed by ``records.CSV_COLUMNS``; oracle-check one per
 instance, ablation one per instance and reward, alpha-grid one per instance
 and alpha.  enumerate gives one JSON object per instance, holding its distinct
 optima and discovery curve, but one CSV row per curve point.  CSV cells follow
@@ -41,7 +42,7 @@ from .instances import (
 )
 from .mcts import ExploitRule, SolverConfig, derive_seed, solve
 from .oracle import brute_force
-from .records import CSV_COLUMNS, csv_cells, make_record, record_row
+from .records import CSV_COLUMNS, csv_cells, make_record
 from .rl import RewardKind
 
 MODES = ("solve", "enumerate", "oracle-check", "ablation", "alpha-grid")
@@ -236,7 +237,7 @@ def _mode_solve(instances, args) -> int:
         cls = _resolve_class(formula, args.problem_class)
         seed = derive_seed(args.seed, idx)
         result = solve(formula, cls, _config(args, seed))
-        rows.append(record_row(make_record(result, name, cls, seed)))
+        rows.append(make_record(result, name, cls, seed))
     _emit(args, CSV_COLUMNS, rows)
     return 0
 

@@ -50,9 +50,11 @@ dict holds at most the sum of 2^|lit[v][b]| over the literals, in practice
 600-1,600 entries on a shaped solve at n = 14, m = 50; it lives as long as
 the kernel, one solve.  ``evaluate`` scores whole assignments, which seldom
 repeat, with ``wsum`` directly.  Rewards are floats, so ``solve`` refuses
-weights whose total x (n + 1) x level budget exceeds the largest float,
-which bounds every reward and every arm's reward sum, and a c whose largest
-bonus, added to the largest reward, would overflow a UCT value.
+a total weight x (n + 1) x level budget past the largest float, which
+bounds every reward and every arm's reward sum; it blames the weights when
+the least budget, 2n + 1, already overflows, else explore_factor.  It also
+refuses a c whose largest bonus, added to the largest reward, would
+overflow a UCT value.
 
 A uniform rollout draws one of the 2(n - k) remaining actions per step, so
 each free variable ends up a fair bit, independent of the others and of the
@@ -97,7 +99,8 @@ class ExploitRule(Enum):
 @dataclass
 class SolverConfig:
     """Search knobs.  Defaults: budget 7x clauses per level, alpha 0.9,
-    C = 1.0, terminal reward, mean-value exploitation."""
+    C = 1.0, terminal reward, mean-value exploitation.  No knob keeps the
+    per-level statistics: every ``SolveResult`` holds them."""
 
     explore_factor: float = 7.0
     alpha: float = 0.9
@@ -105,7 +108,6 @@ class SolverConfig:
     reward: RewardKind = RewardKind.TERMINAL
     exploit_rule: ExploitRule = ExploitRule.MEAN_Q
     seed: int = 0
-    keep_trees: bool = False  # retain per-level statistics on the result (debug/tests)
 
 
 @dataclass
@@ -140,7 +142,8 @@ class LevelStats:
         return cls(tuple(actions), [0] * k, [0.0] * k, [-math.inf] * k, [math.inf] * k)
 
     def frozen(self) -> "LevelStats":
-        """Read-only snapshot, the per-arm lists and caches as tuples."""
+        """Read-only snapshot, the per-arm lists and caches as tuples;
+        ``solve`` keeps one per committed level in ``SolveResult.level_roots``."""
         arrays = ("visits", "q_sum", "r_max", "r_min")
         snap = replace(self, **{name: tuple(getattr(self, name)) for name in arrays})
         snap.mean, snap.rad = tuple(self.mean), tuple(self.rad)
@@ -157,12 +160,16 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's answer and its search.  ``level_roots`` holds each level's
+    bandit, ``frozen`` after its commit, in level order: the evidence on
+    which each level committed its variable."""
+
     assignment: tuple[int, ...]
     objective: int
     satisfied_mask: tuple[bool, ...]
     hard_violations: tuple[int, ...]
     stats: SearchStats
-    level_roots: tuple[LevelStats, ...] = ()
+    level_roots: tuple[LevelStats, ...]
 
 
 def uct_value(level: LevelStats, arm: int, c: float) -> float:
@@ -227,6 +234,8 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     if not level.visits:
         raise ValueError("level has no arms")
     alpha, c = cfg.alpha, cfg.uct_c
+    if not 0.0 <= alpha <= 1.0:  # nan too: its thresholds would leave no arm eligible
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     mean, rad = level.mean, level.rad
     k = len(rad)
     total = level.total
@@ -537,13 +546,20 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     nominal = math.ceil(cfg.explore_factor * m)
     # a reward is at most (n + 1) / 2 times the total weight and an arm sums at
     # most a level budget of them (level 0's, the largest); the spare factor 2
-    # covers the floats' rounding
+    # covers the floats' rounding.  Blame the weights only if the least level-0
+    # budget, 2n + 1, already overflows, else the budget explore_factor gave
     all_clauses = (1 << m) - 1
     top, budget0 = kernel.wsum(all_clauses) * (n + 1), max(nominal, 2 * n + 1)
-    if top * budget0 > sys.float_info.max:
+    if top * (2 * n + 1) > sys.float_info.max:
         raise ValueError(
             "the search's float rewards need total weight x (n + 1) x level budget"
             f" <= the largest float, {sys.float_info.max!r}"
+        )
+    if top * budget0 > sys.float_info.max:
+        raise ValueError(
+            f"explore_factor {cfg.explore_factor!r} x {m} clauses gives a level budget of"
+            f" {budget0:.3g} episodes, but the float rewards need total weight x (n + 1)"
+            " x level budget <= the largest float"
         )
     # a UCT value is a mean reward plus at most |c| sqrt(2 ln N), N < budget0;
     # with the same spare factor 2, no value or threshold overflows
@@ -637,8 +653,7 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
         y, rest, _, point = arms[select_best_child(level, cfg.exploit_rule, rng)]
         free = sorted(rest)
         per_level.append(budget)
-        if cfg.keep_trees:
-            levels.append(level.frozen())
+        levels.append(level.frozen())
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     final_y = best_y if best_value > kernel.evaluate(y)[0] else y

@@ -1,10 +1,10 @@
-"""Solve-result records: one JSON object per solve, plus CSV rows with the
-same columns for benchmark sweeps, and the CSV cell rule of every CLI row."""
+"""Solve-result records: a solve's row is a dict keyed by ``CSV_COLUMNS``,
+the one place that knows their order, written as one JSON object or one CSV
+line.  Also the CSV cell rule of every CLI row."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
 
 from .instances import ProblemClass
 from .mcts import SolveResult
@@ -32,56 +32,35 @@ CSV_DECIMALS = {
 }
 
 
-@dataclass(frozen=True)
-class SolveRecord:
-    instance: str
-    problem_class: str
-    objective: int
-    assignment: tuple[int, ...]
-    satisfied: int
-    hard_violations: tuple[int, ...]
-    n_explore: int
-    executions: int
-    seed: int
-    wall_ms: float
-
-
 def make_record(
-    result: SolveResult,
-    instance: str,
-    problem_class: ProblemClass,
-    seed: int,
-    executions: int = 1,
-) -> SolveRecord:
-    return SolveRecord(
-        instance=instance,
-        problem_class=problem_class.value,
-        objective=result.objective,
-        assignment=result.assignment,
-        satisfied=sum(result.satisfied_mask),
-        hard_violations=result.hard_violations,
-        n_explore=result.stats.n_explore,
-        executions=executions,
-        seed=seed,
-        wall_ms=result.stats.wall_ms,
+    result: SolveResult, instance: str, problem_class: ProblemClass, seed: int
+) -> dict:
+    """A solve's row: a dict keyed by CSV_COLUMNS, in their order."""
+    cells = (
+        instance,
+        problem_class.value,
+        result.objective,
+        result.assignment,
+        sum(result.satisfied_mask),
+        result.hard_violations,
+        result.stats.n_explore,
+        1,  # executions: one solve per record
+        seed,
+        result.stats.wall_ms,
     )
+    return dict(zip(CSV_COLUMNS, cells))
 
 
-def record_row(record: SolveRecord) -> dict:
-    """The record as a dict keyed by CSV_COLUMNS, in the order of the fields."""
-    return dict(zip(CSV_COLUMNS, astuple(record)))
+def record_to_json(record: dict) -> str:
+    """One JSON object; keys are CSV_COLUMNS, in their order."""
+    return json.dumps(record)
 
 
-def record_to_json(record: SolveRecord) -> str:
-    """One JSON object; keys are CSV_COLUMNS, in the order of the fields."""
-    return json.dumps(record_row(record))
-
-
-def parse_result(text: str) -> SolveRecord:
+def parse_result(text: str) -> dict:
     """Re-parse a JSON record; inverse of record_to_json."""
     obj = json.loads(text)
     values = (obj[key] for key in CSV_COLUMNS)
-    return SolveRecord(*(tuple(v) if isinstance(v, list) else v for v in values))
+    return dict(zip(CSV_COLUMNS, (tuple(v) if isinstance(v, list) else v for v in values)))
 
 
 def csv_cells(row: dict) -> list[str]:

@@ -238,7 +238,7 @@ def test_c06_backup_accounting():
         class_idx = t % 4
         f = generated_instance(class_idx, 100 + t)
         cls = list(ProblemClass)[class_idx]
-        res = solve(f, cls, SolverConfig(seed=rng.randint(0, 10**9), keep_trees=True))
+        res = solve(f, cls, SolverConfig(seed=rng.randint(0, 10**9)))
         for root in res.level_roots:
             assert root.total == sum(root.visits)
             nodes = [(sum(root.q_sum), root.total, min(root.r_min), max(root.r_max))]

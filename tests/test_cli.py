@@ -229,6 +229,17 @@ class TestExitCodes:
         assert field in proc.stderr
         assert proc.stdout == ""
 
+    def test_budget_beyond_float_names_explore_factor(self):
+        # the level budget, not the unit weights, is what the float rewards cannot hold
+        proc = run_python(["-m", "mctsat.cli", str(UF20_01), "--explore-factor", "1e306"])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: explore_factor 1e+306 x 91 clauses gives a level budget of 9.1e+307"
+            " episodes, but the float rewards need total weight x (n + 1) x level budget"
+            " <= the largest float\n"
+        )
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize(
         "weights", [(2**1100, 3), (2**1022, 2**1022)], ids=["float-overflow", "sum-overflow"]
     )

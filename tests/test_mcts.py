@@ -194,6 +194,25 @@ class TestOverflowingScale:
             next(exploration_arms(level, cfg, random.Random(0), 1))
 
 
+class TestOutOfRangeAlpha:
+    """An alpha outside [0, 1] has no soft threshold, and a nan one would make
+    every threshold nan and the eligible list empty: both selection paths
+    refuse it, ``exploration_arms`` before its first draw."""
+
+    @pytest.mark.parametrize("alpha", [math.nan, 1.5, -0.5])
+    def test_refused_by_name(self, alpha):
+        level = LevelStats.fresh([Action(i // 2 + 1, i % 2) for i in range(4)])
+        for arm in range(4):
+            backup(level, arm, 3.0)
+        cfg = SolverConfig(alpha=alpha)
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got"):
+            select_exploration_child(level, cfg, random.Random(0))
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got"):
+            next(exploration_arms(level, cfg, rng, 1))
+        assert rng.getstate() == random.Random(0).getstate()
+
+
 class TestBackup:
     def test_fresh_child_single_backup(self):
         root = make_root([(0.0, 0, -math.inf)], parent_visits=0)
@@ -286,7 +305,7 @@ class TestArmCaches:
 
     def test_solve_snapshots_are_read_only(self):
         f = generate_random(5, 12, 3, seed=8)
-        res = solve(f, ProblemClass.MAXSAT, SolverConfig(seed=2, keep_trees=True))
+        res = solve(f, ProblemClass.MAXSAT, SolverConfig(seed=2))
         for root in res.level_roots:
             assert isinstance(root.mean, tuple) and isinstance(root.rad, tuple)
             assert root.mean == tuple(q / v for q, v in zip(root.q_sum, root.visits))
@@ -495,7 +514,7 @@ class TestSolve:
         for reward in [kind for kind in RewardKind for _ in range(5)]:
             f = generate_random(6, 14, 3, weighted=rng.random() < 0.5, seed=rng.randint(0, 999))
             cls = classify(f)
-            cfg = SolverConfig(seed=rng.randint(0, 999), reward=reward, keep_trees=True)
+            cfg = SolverConfig(seed=rng.randint(0, 999), reward=reward)
             res = solve(f, cls, cfg)
             assert len(res.level_roots) == f.num_vars
             for root in res.level_roots:
@@ -581,7 +600,7 @@ class TestSolve:
             weighted, hard = {"wpms": (True, 2), "maxsat": (False, 0),
                               "wmaxsat": (True, 0), "pms": (False, 2)}[shape]
             f = generate_random(12, 40, 3, weighted=weighted, hard_count=hard, seed=4)
-        res = solve(f, classify(f), SolverConfig(seed=1, reward=reward, keep_trees=True))
+        res = solve(f, classify(f), SolverConfig(seed=1, reward=reward))
         assert "".join(map(str, res.assignment)) == bits
         assert res.objective == value
         assert res.level_roots[0].visits == visits
@@ -615,6 +634,14 @@ class TestSolve:
         truth = brute_force(f, cls)
         assert truth.optimum == a + b
         assert objective(f, cls, [0, 1]).value == a + b
+
+    def test_budget_beyond_float_names_explore_factor(self, uf20_texts):
+        # unit weights hold a float reward; the budget 1e306 x 91 is what overflows
+        f = parse_cnf(uf20_texts[0])
+        cfg = SolverConfig(explore_factor=1e306)
+        message = r"explore_factor 1e\+306 x 91 clauses gives a level budget of 9.1e\+307"
+        with pytest.raises(ValueError, match=message):
+            solve(f, ProblemClass.MAXSAT, cfg)
 
     def test_matches_oracle_on_small_unweighted(self):
         rng = random.Random(500)
@@ -685,7 +712,7 @@ class TestReferenceSearch:
         # n = 10 puts two bytes of variables, so two tables, in play
         f = generate_random(10, 30, 3, weighted=weighted, hard_count=hard, seed=17 + 3 * hard)
         cls = classify(f)
-        cfg = SolverConfig(seed=5 + weighted, reward=reward, keep_trees=True)
+        cfg = SolverConfig(seed=5 + weighted, reward=reward)
         assignment, levels = reference_search(f, cls, cfg)
         res = solve(f, cls, cfg)
         assert res.assignment == assignment

@@ -6,7 +6,6 @@ import random
 from mctsat import (
     CSV_COLUMNS,
     ProblemClass,
-    SolveRecord,
     SolverConfig,
     make_record,
     parse_cnf,
@@ -14,23 +13,24 @@ from mctsat import (
     record_to_json,
     solve,
 )
-from mctsat.records import csv_cells, record_row
+from mctsat.records import csv_cells
 
 
 def random_record(rng):
     n = rng.randint(1, 12)
-    return SolveRecord(
-        instance=f"inst-{rng.randint(0, 999)}",
-        problem_class=rng.choice([c.value for c in ProblemClass]),
-        objective=rng.randint(0, 10**6),
-        assignment=tuple(rng.randint(0, 1) for _ in range(n)),
-        satisfied=rng.randint(0, 60),
-        hard_violations=tuple(sorted(rng.sample(range(60), rng.randint(0, 3)))),
-        n_explore=rng.randint(1, 10**4),
-        executions=rng.randint(1, 100),
-        seed=rng.randint(0, 2**63),
-        wall_ms=rng.random() * 1e4,
+    cells = (
+        f"inst-{rng.randint(0, 999)}",
+        rng.choice([c.value for c in ProblemClass]),
+        rng.randint(0, 10**6),
+        tuple(rng.randint(0, 1) for _ in range(n)),
+        rng.randint(0, 60),
+        tuple(sorted(rng.sample(range(60), rng.randint(0, 3)))),
+        rng.randint(1, 10**4),
+        rng.randint(1, 100),
+        rng.randint(0, 2**63),
+        rng.random() * 1e4,
     )
+    return dict(zip(CSV_COLUMNS, cells))
 
 
 def test_round_trip_100_random_records():
@@ -52,39 +52,45 @@ def test_record_to_json_from_solve():
     assert parse_result(text) == make_record(res, "tiny", ProblemClass.MAXSAT, 7)
 
 
+def test_make_record_keys_are_csv_columns_in_order():
+    f = parse_cnf("p cnf 2 1\n1 2 0\n")
+    res = solve(f, ProblemClass.MAXSAT, SolverConfig(seed=7))
+    assert tuple(make_record(res, "tiny", ProblemClass.MAXSAT, 7)) == CSV_COLUMNS
+
+
 def test_example_row_content():
-    record = SolveRecord(
-        instance="ex",
-        problem_class="maxsat",
-        objective=2,
-        assignment=(1, 0),
-        satisfied=2,
-        hard_violations=(),
-        n_explore=14,
-        executions=1,
-        seed=0,
-        wall_ms=1.0,
-    )
-    row = csv_cells(record_row(record))
+    record = {
+        "instance": "ex",
+        "class": "maxsat",
+        "objective": 2,
+        "assignment": (1, 0),
+        "satisfied": 2,
+        "hard_violations": (),
+        "n_explore": 14,
+        "executions": 1,
+        "seed": 0,
+        "wall_ms": 1.0,
+    }
+    row = csv_cells(record)
     assert row[CSV_COLUMNS.index("objective")] == "2"
     assert row[CSV_COLUMNS.index("assignment")] == "1 0"
 
 
 def test_degenerate_zero_record_valid():
-    record = SolveRecord(
-        instance="",
-        problem_class="maxsat",
-        objective=0,
-        assignment=(),
-        satisfied=0,
-        hard_violations=(),
-        n_explore=0,
-        executions=0,
-        seed=0,
-        wall_ms=0.0,
-    )
+    record = {
+        "instance": "",
+        "class": "maxsat",
+        "objective": 0,
+        "assignment": (),
+        "satisfied": 0,
+        "hard_violations": (),
+        "n_explore": 0,
+        "executions": 0,
+        "seed": 0,
+        "wall_ms": 0.0,
+    }
     assert parse_result(record_to_json(record)) == record
-    assert len(csv_cells(record_row(record))) == len(CSV_COLUMNS)
+    assert len(csv_cells(record)) == len(CSV_COLUMNS)
 
 
 def test_csv_cells_rule():
