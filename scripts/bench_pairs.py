@@ -48,6 +48,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:  # statistics.quantiles wants two points before Python 3.13
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
 

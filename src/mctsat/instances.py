@@ -1,11 +1,17 @@
 """DIMACS CNF/WCNF instances: parsing, classification, generation, serialization.
 
-Accepted dialect: comment lines start with "c", one "p cnf <n> <m>" or
+Accepted dialects: comment lines start with "c", one "p cnf <n> <m>" or
 "p wcnf <n> <m> [top]" header with nothing after it on its line, clauses as
 whitespace-separated integers terminated by 0 (clauses may span lines).  WCNF
 clause lines start with the clause weight; when the optional top weight is
 present, weight == top marks a hard clause.  A trailing "%" / "0" pair after
 the final clause (SATLIB convention) is ignored.
+
+WCNF also comes in the MaxSAT Evaluation 2022+ dialect, with no "p" line: a
+clause starts with its weight, or with "h" for a hard clause.  Then n is the
+largest variable used, and every hard clause gets the top weight, the total
+soft weight + 1, as ``generate_random`` sets it.  ``write_dimacs`` always
+writes the header dialect, which reads back to the same ``Formula``.
 """
 
 from __future__ import annotations
@@ -161,35 +167,45 @@ def _check_tail(tokens: list[tuple[str, int]], start: int) -> None:
 
 
 def _parse(tokens: list[tuple[str, int]], kind: str) -> Formula:
-    """The clause loop of both kinds: a WCNF clause reads its weight first, a
-    CNF clause has weight 1.  Weight == top marks a hard clause."""
-    num_vars, num_clauses, top, body = _parse_header(tokens, kind)
+    """The clause loop of both kinds and both WCNF dialects: a WCNF clause
+    reads its weight first, a CNF clause has weight 1.  Weight == top marks a
+    hard clause.  WCNF without a "p" line is the headerless dialect: "h" in
+    place of the weight marks a hard clause, n is the largest variable, and
+    hard clauses get the top weight total soft weight + 1."""
+    headerless = kind == "wcnf" and bool(tokens) and tokens[0][0] != "p"
+    if headerless:
+        num_vars, num_clauses, top, body = None, None, None, 0
+    else:
+        num_vars, num_clauses, top, body = _parse_header(tokens, kind)
     unread = None if kind == "wcnf" else 1  # the weight of a clause not yet begun
-    clauses: list[Clause] = []
+    rows: list[tuple[tuple[Literal, ...], int | str]] = []  # weight "h": hard, headerless
     weight = unread
     lits: list[Literal] = []
-    last_line = tokens[body - 1][1]
+    last_line = tokens[body - 1][1] if body else tokens[0][1]
     for pos in range(body, len(tokens)):
         tok, line = tokens[pos]
-        if len(clauses) == num_clauses:
+        if len(rows) == num_clauses:
             _check_tail(tokens, pos)
             break
         if weight is None:
-            weight = _to_int(tok, line, "clause weight")
-            if weight < 0:
-                raise ParseError(f"negative clause weight {weight}", line)
-            if top is not None and weight > top:
-                raise ParseError(f"clause weight {weight} exceeds top {top}", line)
+            if headerless and tok == "h":
+                weight = tok
+            else:
+                weight = _to_int(tok, line, "clause weight")
+                if weight < 0:
+                    raise ParseError(f"negative clause weight {weight}", line)
+                if top is not None and weight > top:
+                    raise ParseError(f"clause weight {weight} exceeds top {top}", line)
         else:
             code = _to_int(tok, line, "literal")
             if code == 0:
                 if not lits:
                     raise ParseError("empty clause", line)
-                clauses.append(Clause(tuple(lits), weight, weight == top))
+                rows.append((tuple(lits), weight))
                 weight = unread
                 lits = []
             else:
-                if abs(code) > num_vars:
+                if num_vars is not None and abs(code) > num_vars:
                     raise ParseError(
                         f"variable {abs(code)} exceeds declared count {num_vars}", line
                     )
@@ -197,11 +213,17 @@ def _parse(tokens: list[tuple[str, int]], kind: str) -> Formula:
         last_line = line
     if weight != unread or lits:
         raise ParseError("unterminated clause at end of input", last_line)
-    if len(clauses) != num_clauses:
+    if headerless:
+        num_vars = max(lit.var for clause, _ in rows for lit in clause)
+        if any(w == "h" for _, w in rows):
+            top = sum(w for _, w in rows if w != "h") + 1
+        rows = [(clause, top if w == "h" else w) for clause, w in rows]
+    elif len(rows) != num_clauses:
         raise ParseError(
-            f"header declares {num_clauses} clauses, found {len(clauses)}", last_line
+            f"header declares {num_clauses} clauses, found {len(rows)}", last_line
         )
-    return Formula(num_vars, tuple(clauses), top_weight=top)
+    clauses = tuple(Clause(clause, w, w == top) for clause, w in rows)
+    return Formula(num_vars, clauses, top_weight=top)
 
 
 def parse_cnf(source: str | bytes) -> Formula:
@@ -210,14 +232,17 @@ def parse_cnf(source: str | bytes) -> Formula:
 
 
 def parse_wcnf(source: str | bytes) -> Formula:
-    """Parse DIMACS WCNF text; clauses with weight == top are marked hard."""
+    """Parse DIMACS WCNF text in either dialect; clauses with weight == top,
+    or marked "h" without a header, are hard."""
     return _parse(_numbered_tokens(source), "wcnf")
 
 
 def parse_dimacs(source: str | bytes) -> Formula:
-    """Parse CNF or WCNF, dispatching on the header kind."""
+    """Parse CNF or WCNF, dispatching on the header kind; input without a
+    "p" line is headerless WCNF."""
     tokens = _numbered_tokens(source)
-    wcnf = len(tokens) >= 2 and tokens[0][0] == "p" and tokens[1][0] == "wcnf"
+    first = [tok for tok, _ in tokens[:2]]
+    wcnf = first == ["p", "wcnf"] or first[:1] not in ([], ["p"])
     return _parse(tokens, "wcnf" if wcnf else "cnf")
 
 

@@ -16,20 +16,35 @@ it touches.
 ``exploration_eligible`` is the reference eligible set: every arm whose value
 reaches (1 - alpha) * min + alpha * max.  ``solve`` draws the same arms from
 ``exploration_arms``, which evaluates only the arms that can decide a draw.
-It takes the draws in stretches of ``STRETCH``; s_lo and s_hi are the least
-and greatest s of the stretch.  Each arm gets lower = mean + s_lo * rad and
-upper = mean + s_hi * rad.  IEEE rounding is monotone and rad > 0, so
-s_lo <= s <= s_hi gives lower <= mean + s * rad <= upper in floating point
-too, exactly, for either sign of c.  The bounds hold for an arm until it is
-drawn, and only *hot* arms are drawn.  The hot arms are evaluated per draw;
-the exact min is found by scanning the arms in ascending lower until a lower
-exceeds it; then, while the greatest upper left cold reaches the threshold,
-that arm turns hot.  Every cold arm is then below the threshold and below
-the hot max, so min, max, threshold and the eligible list (the hot arms that
-reach it, in index order) are the reference's, bit for bit.  A stretch's s
-are c * r, with r = sqrt(2 ln t) read from a table that all solves share and
-that grows on demand: the same floats as computed in place, with log and sqrt
-paid once per process.  The draw is CPython's rejection loop for
+It takes the draws in stretches of ``STRETCH``.  A stretch's s are c * r,
+with r = sqrt(2 ln t) read from a table that all solves share and that grows
+on demand: the same floats as computed in place, with log and sqrt paid once
+per process.  r never decreases in t and IEEE multiplication is monotone, so
+the least and greatest s of a stretch, s_lo and s_hi, are its two end
+scales, the first one being s_lo when c >= 0 and s_hi when c < 0.  Each arm
+gets lower = mean + s_lo * rad and upper = mean + s_hi * rad.  IEEE rounding
+is monotone and rad > 0, so s_lo <= s <= s_hi gives
+lower <= mean + s * rad <= upper in floating point too, exactly.  The bounds
+hold for an arm until it is drawn, and only *hot* arms are drawn.  The hot
+arms are evaluated per draw; the exact min is found by scanning the arms in
+ascending lower until a lower exceeds it; then, while the greatest upper
+left cold reaches the threshold, that arm turns hot.  Every cold arm is then
+below the threshold and below the hot max, so min, max, threshold and the
+eligible list (the hot arms that reach it, in index order) are the
+reference's, bit for bit.  The two orders are kept from one stretch to the
+next and re-sorted in place, which is cheap on nearly sorted lists; their
+tie order then differs from a fresh sort's.  That can change which arms
+turn hot, never which are eligible: every arm with lower <= min is scanned
+whatever its place among equals, and every cold arm's value stays
+<= upper < threshold.  Backups only add visits, so the check that every arm
+has one is made once per call.  ``STRETCH`` = 32 won an in-process paired
+sweep of per-solve time on the uf20 fixtures over 16, 24 and 48: a longer
+stretch pays its set-up (two bound lists and two sorts of all arms) less
+often, a shorter one keeps its bounds tighter and so its hot set smaller.
+``solve`` writes each backed-up arm's rad from a table of 1 / sqrt(v) for
+v = 1 .. level 0's budget, built once per solve: level 0's budget bounds the
+visits of every arm at every level, and the table holds the very floats that
+``backup`` computes.  The draw is CPython's rejection loop for
 ``randrange(size)`` (b = size.bit_length(), then j = getrandbits(b) until
 j < size), and ``shuffled_completion`` runs it for each swap of ``shuffle``:
 the same ``getrandbits`` calls as the library, so the same RNG stream.
@@ -119,7 +134,8 @@ class LevelStats:
     part of its UCT value; an unvisited arm holds inf in both, so its UCT
     value is inf, which the selection rules refuse.  They are derived from
     the other lists on construction, and afterwards written only by
-    ``backup`` and by ``solve``'s inlined copy of it: writing ``visits`` or
+    ``backup`` and by ``solve``'s inlined copy of it, which reads rad from
+    its per-solve 1 / sqrt(v) table (the same floats): writing ``visits`` or
     ``q_sum`` directly leaves them stale.
     """
 
@@ -217,7 +233,7 @@ def select_exploration_child(level: LevelStats, cfg: SolverConfig, rng) -> int:
     return eligible[rng.randrange(len(eligible))]
 
 
-STRETCH = 48  # draws per set of bounds
+STRETCH = 32  # draws per set of bounds
 _ROOT_2_LOG = [math.nan]  # [t] = sqrt(2 ln t), grown on demand, shared by all solves
 
 
@@ -227,9 +243,13 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     ``backup`` each yielded arm before asking for the next.
 
     Each arm's value is bounded per stretch and computed only when its
-    bounds can decide the draw (see the module docstring).  Like
-    ``exploration_eligible``, it raises a ValueError when a stretch's scale
-    or bounds are not finite.
+    bounds can decide the draw.  Per call it checks once that every arm has
+    a visit and computes 1 - alpha once; per stretch it takes s_lo and s_hi
+    from the stretch's two end scales and re-sorts the arms by lower and by
+    upper bound in place, starting from the previous stretch's orders, whose
+    tie order cannot change the eligible list (see the module docstring).
+    Like ``exploration_eligible``, it raises a ValueError when a stretch's
+    scale or bounds are not finite.
     """
     if not level.visits:
         raise ValueError("level has no arms")
@@ -239,10 +259,13 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     mean, rad = level.mean, level.rad
     k = len(rad)
     total = level.total
+    # backups only add visits, so one check covers every stretch
+    if math.inf in rad or total < 1:  # _ROOT_2_LOG[0] is nan
+        raise ValueError("every arm needs a visit")
+    beta = 1.0 - alpha
     getrandbits = rng.getrandbits
+    by_lower, by_upper = list(range(k)), list(range(k))  # re-sorted per stretch
     while episodes > 0:
-        if math.inf in rad or total < 1:  # _ROOT_2_LOG[0] is nan
-            raise ValueError("every arm needs a visit")
         n = min(episodes, STRETCH)
         episodes -= n
         stop = total + n
@@ -250,11 +273,12 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
             _ROOT_2_LOG.extend(math.sqrt(2.0 * math.log(t)) for t in range(len(_ROOT_2_LOG), stop))
         ss = [c * r for r in _ROOT_2_LOG[total:stop]]
         total = stop
-        s_lo, s_hi = min(ss), max(ss)
+        # r never decreases along the stretch, so c * r is monotone
+        s_lo, s_hi = (ss[0], ss[-1]) if c >= 0 else (ss[-1], ss[0])
         lower = [m + s_lo * r for m, r in zip(mean, rad)]
         upper = [m + s_hi * r for m, r in zip(mean, rad)]
-        by_lower = sorted(range(k), key=lower.__getitem__)
-        by_upper = sorted(range(k), key=upper.__getitem__, reverse=True)
+        by_lower.sort(key=lower.__getitem__)
+        by_upper.sort(key=upper.__getitem__, reverse=True)
         # a non-finite s or value would make a threshold nan and the eligible
         # list empty; a finite s gives no nan bound, so the extremes decide
         if not (-math.inf < lower[by_lower[0]] and upper[by_upper[0]] < math.inf):
@@ -272,7 +296,7 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
                     lo = u
             hi = max(us)
             while True:
-                thr = (1.0 - alpha) * lo + alpha * hi  # as soft_threshold
+                thr = beta * lo + alpha * hi  # as soft_threshold
                 if thr > hi:
                     thr = hi
                 # an arm left cold has its value <= upper < thr <= hi
@@ -367,6 +391,7 @@ def theory_budgets(
     every child is explored at least once with probability >= 1 - delta1.
     execution_bound: independent executions so all ``num_optima`` optima are
     seen with probability >= 1 - epsilon, assuming a uniform draw per run.
+    Raises a ValueError when explore_bound is past the float range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -376,7 +401,12 @@ def theory_budgets(
         raise ValueError("delta1 must be in (0, 1)")
     if num_optima < 1:
         raise ValueError("num_optima must be >= 1")
-    explore = math.ceil(math.log(1.0 / epsilon) / math.log1p(1.0 / (2**n - 1)))
+    try:  # from n = 1023 the float quotient overflows, from n = 1024 already 2**n - 1
+        explore = math.ceil(math.log(1.0 / epsilon) / math.log1p(1.0 / (2**n - 1)))
+    except OverflowError:
+        raise ValueError(
+            f"the explore bound for n = {n}, epsilon = {epsilon!r} is past the float range"
+        ) from None
     child = math.ceil(math.log(1.0 / delta1) / math.log1p(1.0 / (2 * n - 1))) + 2 * n
     if num_optima == 1:
         execution = 1
@@ -575,7 +605,10 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     y, free, point = 0, list(range(n)), EpisodeKernel.START
     best_value, best_y = -1, 0
     per_level, levels = [], []  # budgets, snapshots
-    tables, wsum, sqrt = kernel.tables, kernel.wsum, math.sqrt
+    tables, wsum = kernel.tables, kernel.wsum
+    # 1 / sqrt(v) for every visit count an arm can reach: level 0's budget
+    # bounds them all, and the floats are backup's own
+    inv_sqrt = [math.inf] + [1.0 / math.sqrt(v) for v in range(1, budget0 + 1)]
     lit, gains, coef = kernel.lit, kernel.gains, kernel.coef
     getrandbits = rng.getrandbits
     t0 = time.perf_counter()
@@ -645,7 +678,7 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
             v = visits[arm] = visits[arm] + 1
             q = q_sum[arm] = q_sum[arm] + reward
             mean[arm] = q / v
-            rad[arm] = 1.0 / sqrt(v)
+            rad[arm] = inv_sqrt[v]
             if reward > r_max[arm]:
                 r_max[arm] = reward
             if reward < r_min[arm]:

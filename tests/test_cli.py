@@ -132,6 +132,18 @@ class TestExitCodes:
         assert "bad.cnf" in captured.err
         assert json.loads(captured.out)["objective"] == 1
 
+    def test_headerless_wcnf_is_solved_and_stray_h_is_2(self, tmp_path, capsys):
+        good = tmp_path / "new.wcnf"
+        good.write_text("h 1 2 0\n3 -1 0\n")
+        bad = tmp_path / "stray.wcnf"
+        bad.write_text("h 1 2 0\n3 h -1 0\n")
+        code = run_cli([str(good), str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "stray.wcnf" in captured.err and "line 2: invalid literal 'h'" in captured.err
+        row = json.loads(captured.out)
+        assert (row["class"], row["objective"], row["hard_violations"]) == ("wpms", 7, [])
+
     def test_missing_file_is_2(self, capsys):
         assert run_cli(["does-not-exist.cnf"]) == 2
 

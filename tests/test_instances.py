@@ -152,6 +152,13 @@ PARSERS = {"cnf": parse_cnf, "wcnf": parse_wcnf, "dimacs": parse_dimacs}
         ("dimacs", "p cnf 2 1\n1 2\n", 2, "unterminated clause at end of input"),
         ("dimacs", "p wcnf 2 1 9\n10 1 0\n", 2, "clause weight 10 exceeds top 9"),
         ("dimacs", "p wcnf 2 2 9\n9 1 0\n", 2, "header declares 2 clauses, found 1"),
+        ("cnf", "h 1 2 0\n3 -1 0\n", 1, "expected 'p cnf' header, found 'h'"),
+        ("wcnf", "p wcnf 2 1 9\nh 1 0\n", 2, "invalid clause weight 'h'"),
+        ("dimacs", "h 1 h 0\n", 1, "invalid literal 'h'"),
+        ("wcnf", "h 1 0\n2 h 0\n", 2, "invalid literal 'h'"),
+        ("dimacs", "3 -1 0\nh 0\n", 2, "empty clause"),
+        ("dimacs", "h 1 2\n", 1, "unterminated clause at end of input"),
+        ("wcnf", "-2 1 0\n", 1, "negative clause weight -2"),
     ],
 )
 def test_parse_error_line_and_message(parser, text, line, message):
@@ -164,6 +171,51 @@ def test_parse_error_line_and_message(parser, text, line, message):
 def test_parse_dimacs_dispatch():
     assert parse_dimacs("p cnf 1 1\n1 0\n").top_weight is None
     assert parse_dimacs("p wcnf 1 1 9\n9 1 0\n").top_weight == 9
+
+
+class TestHeaderlessWcnf:
+    """The MaxSAT Evaluation 2022+ dialect: no "p" line, "h" marks a hard
+    clause, n is the largest variable, and the top weight is total soft + 1."""
+
+    def test_hard_clause_gets_total_soft_plus_one(self):
+        for parse in (parse_wcnf, parse_dimacs):
+            f = parse("c a comment\nh 1 2 0\n3 -1 0\n")
+            assert f == Formula(
+                2, (Clause((lit(1), lit(2)), 4, True), Clause((lit(-1),), 3, False)), top_weight=4
+            )
+            assert classify(f) is ProblemClass.WEIGHTED_PARTIAL_MAXSAT
+
+    def test_unit_soft_weights_are_partial_maxsat(self):
+        f = parse_dimacs("1 1 0\nh -1 3 0\n1 -3 0\n")
+        assert f.num_vars == 3 and f.top_weight == 3
+        assert [c.hard for c in f.clauses] == [False, True, False]
+        assert classify(f) is ProblemClass.PARTIAL_MAXSAT
+
+    def test_no_hard_clause_sets_no_top(self):
+        f = parse_dimacs("2 1 0\n3 -2 0\n")
+        assert f.top_weight is None and f.num_vars == 2
+        assert classify(f) is ProblemClass.WEIGHTED_MAXSAT
+
+    def test_round_trip_through_header_dialect(self):
+        text = "h 1 2 0\n3 -1 0\n"
+        written = write_dimacs(parse_dimacs(text))
+        assert written == "p wcnf 2 2 4\n4 1 2 0\n3 -1 0\n"
+        assert parse_dimacs(written) == parse_dimacs(text)
+
+    def test_generated_formulas_read_back(self):
+        # generate_random sets the top weight to total soft + 1, as this dialect does
+        rng = random.Random(44)
+        for _ in range(50):
+            n, m = rng.randint(2, 9), rng.randint(1, 15)
+            hard = rng.randint(0, m)
+            f = generate_random(n, m, rng.randint(1, min(3, n)), rng.random() < 0.5, hard, rng.randrange(10**6))
+            lines = []
+            for c in f.clauses:
+                body = " ".join(str(l.to_dimacs()) for l in c.literals)
+                lines.append(f"{'h' if c.hard else c.weight} {body} 0")
+            g = parse_dimacs("\n".join(lines) + "\n")
+            largest = max(l.var for c in f.clauses for l in c.literals)
+            assert g == Formula(largest, f.clauses, f.top_weight)
 
 
 class TestClassify:

@@ -35,7 +35,8 @@ from mctsat import (
     theory_budgets,
     uct_value,
 )
-from mctsat.mcts import STRETCH, EpisodeKernel, shuffled_completion, uniform_completion
+from mctsat import mcts
+from mctsat.mcts import EpisodeKernel, shuffled_completion, uniform_completion
 
 
 def make_root(child_stats, parent_visits=None):
@@ -138,9 +139,23 @@ class TestExplorationArms:
     @pytest.mark.parametrize("c", [0.0, 1.0, 2.5, -1.0])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
     def test_draws_match_reference(self, c, alpha):
+        self.check_draws(c, alpha)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.5, -1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("stretch", [1, 2, 5])
+    def test_draws_match_reference_at_stretch(self, c, alpha, stretch, monkeypatch):
+        # short stretches: many carried-over re-sorts per call (3 x 1 + 7 draws
+        # are 10 stretches at length 1)
+        monkeypatch.setattr(mcts, "STRETCH", stretch)
+        self.check_draws(c, alpha)
+
+    @staticmethod
+    def check_draws(c, alpha):
+        stretch = mcts.STRETCH
         rng = random.Random(f"{c} {alpha}")
         cfg = SolverConfig(alpha=alpha, uct_c=c)
-        for episodes in (1, STRETCH - 1, STRETCH, STRETCH + 1, 3 * STRETCH + 7):
+        for episodes in (1, stretch - 1, stretch, stretch + 1, 3 * stretch + 7):
             for tied in (True, False):
                 k = rng.randint(2, 40)
 
@@ -425,6 +440,15 @@ class TestTheoryBudgets:
             theory_budgets(2, 0.05, delta1=1.0)
         with pytest.raises(ValueError):
             theory_budgets(2, 0.05, num_optima=0)
+
+    @pytest.mark.parametrize("n, epsilon", [(1023, 0.1), (1100, 0.1), (1020, 1e-300)])
+    def test_explore_bound_past_float_range_refused_by_name(self, n, epsilon):
+        with pytest.raises(ValueError, match=f"n = {n}, epsilon = {epsilon!r}"):
+            theory_budgets(n, epsilon)
+
+    def test_explore_bound_at_float_edge(self):
+        bound = theory_budgets(1022, 0.1).explore_bound
+        assert isinstance(bound, int) and 1e307 < bound < math.inf
 
 
 class TestDeriveSeed:
