@@ -168,10 +168,8 @@ def _check_tail(tokens: list[tuple[str, int]], start: int) -> None:
 
 def _parse(tokens: list[tuple[str, int]], kind: str) -> Formula:
     """The clause loop of both kinds and both WCNF dialects: a WCNF clause
-    reads its weight first, a CNF clause has weight 1.  Weight == top marks a
-    hard clause.  WCNF without a "p" line is the headerless dialect: "h" in
-    place of the weight marks a hard clause, n is the largest variable, and
-    hard clauses get the top weight total soft weight + 1."""
+    reads its weight first ("h" for a hard one in the headerless dialect), a
+    CNF clause has weight 1.  Weight == top marks a hard clause."""
     headerless = kind == "wcnf" and bool(tokens) and tokens[0][0] != "p"
     if headerless:
         num_vars, num_clauses, top, body = None, None, None, 0
@@ -242,7 +240,7 @@ def parse_dimacs(source: str | bytes) -> Formula:
     "p" line is headerless WCNF."""
     tokens = _numbered_tokens(source)
     first = [tok for tok, _ in tokens[:2]]
-    wcnf = first == ["p", "wcnf"] or first[:1] not in ([], ["p"])
+    wcnf = first == ["p", "wcnf"] or (bool(first) and first[0] != "p")
     return _parse(tokens, "wcnf" if wcnf else "cnf")
 
 

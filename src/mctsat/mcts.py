@@ -33,14 +33,15 @@ below the threshold and below the hot max, so min, max, threshold and the
 eligible list (the hot arms that reach it, in index order) are the
 reference's, bit for bit.  The two orders are kept from one stretch to the
 next and re-sorted in place, which is cheap on nearly sorted lists; their
-tie order then differs from a fresh sort's.  That can change which arms
+tie order can then differ from a fresh sort's.  That can change which arms
 turn hot, never which are eligible: every arm with lower <= min is scanned
 whatever its place among equals, and every cold arm's value stays
 <= upper < threshold.  Backups only add visits, so the check that every arm
-has one is made once per call.  ``STRETCH`` = 32 won an in-process paired
-sweep of per-solve time on the uf20 fixtures over 16, 24 and 48: a longer
-stretch pays its set-up (two bound lists and two sorts of all arms) less
-often, a shorter one keeps its bounds tighter and so its hot set smaller.
+has one is made once per call.  A longer stretch pays its set-up (two bound
+lists and two sorts of all arms) less often, a shorter one keeps its bounds
+tighter and so its hot set smaller; ``STRETCH`` = 32 was the fastest of 16,
+24, 32 and 48 in a paired sweep of per-solve time on the uf20 fixtures
+(recorded in CHANGES.md).
 ``solve`` writes each backed-up arm's rad from a table of 1 / sqrt(v) for
 v = 1 .. level 0's budget, built once per solve: level 0's budget bounds the
 visits of every arm at every level, and the table holds the very floats that
