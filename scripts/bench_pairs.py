@@ -11,8 +11,11 @@ parent first and odd pairs the change.  The workloads are those of the
 parent's BENCHMARK.json.  The output holds the machine, the seeds, every
 metric of every run, and per workload and metric each side's median and
 quartiles and the pairs the change won, lost and tied, judged by the metric's
-``better`` direction in the parent's BENCHMARK.json.  The script ends by
-printing one line per workload with the ``episodes_per_ys`` summary, then
+``better`` direction in the parent's BENCHMARK.json, and ``gain``: whether
+the change won at least nine tenths of the pairs (ties count for neither
+side) and its median beats the parent's by more than the parent's
+quartile spread, q3 - q1.  The script ends by printing one line per
+workload with the ``episodes_per_ys`` summary and its gain verdict, then
 one line per end-to-end metric whose median is worse on the change, with its
 relative change and its ``bound`` from the parent's BENCHMARK.json, then one
 line per failed run.  It exits 1 when any run is not ``correct`` or has a
@@ -62,26 +65,30 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1 if direction == "higher" else -1
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        pq, cq = quartiles(parent), quartiles(change)
         out[name] = {
             "better": direction,
-            "parent": quartiles(parent),
-            "change": quartiles(change),
+            "parent": pq,
+            "change": cq,
             "won": won,
             "lost": lost,
             "tied": len(pairs) - won - lost,
+            "gain": 10 * won >= 9 * len(pairs)
+            and sign * (cq["median"] - pq["median"]) > pq["q3"] - pq["q1"],
         }
     return out
 
 
 def headline(workload: str, s: dict) -> str:
     """One line: each side's median [q1, q3] of the headline metric, the
-    change in the median, and the pairs won and lost."""
+    change in the median, the pairs won and lost, and the gain verdict."""
     p, c = s["parent"], s["change"]
     delta = (c["median"] - p["median"]) / p["median"] if p["median"] else math.nan
     return (
         f"{workload}: {HEADLINE} parent {p['median']:.1f} [{p['q1']:.1f}, {p['q3']:.1f}]"
         f" change {c['median']:.1f} [{c['q1']:.1f}, {c['q3']:.1f}] ({delta:+.1%});"
-        f" won {s['won']}, lost {s['lost']}, tied {s['tied']}"
+        f" won {s['won']}, lost {s['lost']}, tied {s['tied']};"
+        f" gain {'met' if s['gain'] else 'not met'}"
     )
 
 

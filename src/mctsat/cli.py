@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repeats", type=_count, default=20, help="solves per cell in sweep modes"
     )
-    p.add_argument("--oracle-max-vars", type=int, default=20)
+    p.add_argument("--oracle-max-vars", type=_count, default=20)
     p.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     return p

@@ -5,7 +5,8 @@ Accepted dialects: comment lines start with "c", one "p cnf <n> <m>" or
 whitespace-separated integers terminated by 0 (clauses may span lines).  WCNF
 clause lines start with the clause weight; when the optional top weight is
 present, weight == top marks a hard clause.  A trailing "%" / "0" pair after
-the final clause (SATLIB convention) is ignored.
+the final clause (SATLIB convention) is ignored.  A header that declares no
+variables is refused: there is nothing to search.
 
 WCNF also comes in the MaxSAT Evaluation 2022+ dialect, with no "p" line: a
 clause starts with its weight, or with "h" for a hard clause.  Then n is the
@@ -145,6 +146,8 @@ def _parse_header(tokens: list[tuple[str, int]], kind: str):
     num_clauses = _to_int(*tokens[3], "clause count")
     if num_vars < 0 or num_clauses < 0:
         raise ParseError("header counts must be non-negative", line)
+    if num_vars == 0:  # nothing to search; the search and the oracle refuse it
+        raise ParseError("header declares no variables", line)
     top = None
     body = 4
     header_line = tokens[3][1]

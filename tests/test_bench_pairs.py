@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).parents[1] / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -22,7 +24,8 @@ def test_one_pair_is_summarised():
     assert s["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0}
     assert s["change"]["median"] == 11.0
     assert (s["won"], s["lost"], s["tied"]) == (1, 0, 0)
-    assert "(+10.0%); won 1, lost 0, tied 0" in bench_pairs.headline("w", s)
+    assert s["gain"] is True
+    assert "(+10.0%); won 1, lost 0, tied 0; gain met" in bench_pairs.headline("w", s)
 
 
 def test_pairs_are_judged_by_direction():
@@ -30,3 +33,21 @@ def test_pairs_are_judged_by_direction():
     s = bench_pairs.summary(pairs, {"episodes_per_ys": "lower"})["episodes_per_ys"]
     assert s["parent"] == {"median": 10.0, "q1": 9.0, "q3": 11.0}
     assert (s["won"], s["lost"], s["tied"]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "step, losses, gain",
+    [
+        (10.0, 1, True),  # won 9 of 10, medians 10 apart, parent q3 - q1 = 4.5
+        (1.0, 1, False),  # won 9 of 10, but the medians are 1 apart, inside the spread
+        (10.0, 2, False),  # medians far apart, but won only 8 of 10
+    ],
+)
+def test_gain_needs_nine_tenths_won_beyond_the_parent_spread(step, losses, gain):
+    parents = [100.0 + i for i in range(10)]
+    pairs = [pair(i, p, p - 1.0 if i < losses else p + step) for i, p in enumerate(parents)]
+    s = bench_pairs.summary(pairs, {"episodes_per_ys": "higher"})["episodes_per_ys"]
+    assert (s["parent"]["q1"], s["parent"]["q3"]) == (102.25, 106.75)
+    assert s["won"] == 10 - losses
+    assert s["gain"] is gain
+    assert bench_pairs.headline("w", s).endswith("gain met" if gain else "gain not met")

@@ -144,6 +144,16 @@ class TestExitCodes:
         row = json.loads(captured.out)
         assert (row["class"], row["objective"], row["hard_violations"]) == ("wpms", 7, [])
 
+    @pytest.mark.parametrize("header", ["p cnf 0 0", "p wcnf 0 0"])
+    def test_zero_variables_is_2_and_run_continues(self, tmp_path, capsys, header):
+        empty = tmp_path / "empty.cnf"
+        empty.write_text(header + "\n")
+        code = run_cli([str(UF20_01), str(empty)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "empty.cnf" in captured.err and "header declares no variables" in captured.err
+        assert json.loads(captured.out)["instance"] == "uf20-01.cnf"
+
     def test_missing_file_is_2(self, capsys):
         assert run_cli(["does-not-exist.cnf"]) == 2
 
@@ -165,6 +175,8 @@ class TestExitCodes:
             ("ablation", "--repeats", "-2"),
             ("alpha-grid", "--repeats", "0"),
             ("enumerate", "--executions", "0"),
+            ("oracle-check", "--oracle-max-vars", "0"),
+            ("oracle-check", "--oracle-max-vars", "-1"),
         ],
     )
     def test_count_below_one_is_1(self, mode, flag, value):

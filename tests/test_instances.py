@@ -130,6 +130,7 @@ PARSERS = {"cnf": parse_cnf, "wcnf": parse_wcnf, "dimacs": parse_dimacs}
         ("cnf", "p wcnf 1 1\n1 1 0\n", 1, "expected 'p cnf' header, found 'p wcnf'"),
         ("cnf", "p cnf -1 1\n1 0\n", 1, "header counts must be non-negative"),
         ("cnf", "p cnf 2 -1\n", 1, "header counts must be non-negative"),
+        ("dimacs", "c none\np wcnf 0 0\n", 2, "header declares no variables"),
         ("cnf", "p cnf 2 1\n1 x 0\n", 2, "invalid literal 'x'"),
         ("cnf", "p cnf 2 1\n3 0\n", 2, "variable 3 exceeds declared count 2"),
         ("cnf", "p cnf 2 2\n1 0\n0\n", 3, "empty clause"),
