@@ -17,9 +17,11 @@ side) and its median beats the parent's by more than the parent's
 quartile spread, q3 - q1.  The script ends by printing one line per
 workload with the ``episodes_per_ys`` summary and its gain verdict, then
 one line per end-to-end metric whose median is worse on the change, with its
-relative change and its ``bound`` from the parent's BENCHMARK.json, then one
-line per failed run.  It exits 1 when any run is not ``correct`` or has a
-failed operation.
+relative change, its ``bound`` from the parent's BENCHMARK.json and each
+side's median ``attempted`` operations per run on that workload (a run
+averages ``hit_rate`` and ``obj_ratio`` over the solves that fit into it, so
+a faster side scores more instances), then one line per failed run.  It
+exits 1 when any run is not ``correct`` or has a failed operation.
 """
 
 from __future__ import annotations
@@ -92,8 +94,19 @@ def headline(workload: str, s: dict) -> str:
     )
 
 
-def worse(workload: str, summaries: dict, bounds: dict[str, float]) -> list[str]:
-    """One line per metric whose change median is worse than the parent's."""
+def attempted(pairs: list[dict]) -> dict[str, float]:
+    """Each side's median ``attempted`` operations per run."""
+    return {
+        side: statistics.median(pair[side]["attempted"] for pair in pairs)
+        for side in ("parent", "change")
+    }
+
+
+def worse(
+    workload: str, summaries: dict, bounds: dict[str, float], ops: dict[str, float]
+) -> list[str]:
+    """One line per metric whose change median is worse than the parent's,
+    with ``ops``, each side's median operations per run (``attempted``)."""
     lines = []
     for name, s in summaries.items():
         p, c = s["parent"]["median"], s["change"]["median"]
@@ -104,7 +117,8 @@ def worse(workload: str, summaries: dict, bounds: dict[str, float]) -> list[str]
         verdict = "beyond" if abs(delta) > bounds[name] else "within"
         lines.append(
             f"{workload}: {name} worse, parent {p:.4g} change {c:.4g} ({delta:+.1%});"
-            f" {verdict} its bound {bounds[name]:.1%}"
+            f" {verdict} its bound {bounds[name]:.1%};"
+            f" attempted per run parent {ops['parent']:g} change {ops['change']:g}"
         )
     return lines
 
@@ -175,7 +189,7 @@ def main(argv=None) -> int:
         print(headline(workload, data["summary"][HEADLINE]))
     failed = [line for workload, data in workloads for line in failures(workload, data["pairs"])]
     for workload, data in workloads:
-        for line in worse(workload, data["summary"], bounds):
+        for line in worse(workload, data["summary"], bounds, attempted(data["pairs"])):
             print(line)
     for line in failed:
         print(line)

@@ -17,6 +17,10 @@ float columns have fixed decimals: alpha 1, mean_objective and norm_objective
 6, wall_ms and mean_wall_ms 3.  JSON numbers are unpadded; the sweep means are
 rounded to their CSV decimals, solve's wall_ms is not.
 
+Every mode takes the instances in file-name order, inputs of the same name
+in their input order, and the i-th instance's seeds derive from ``--seed``
+and i.
+
 Exit codes: 0 success, 1 usage error, 2 parse failures, 3 oracle mismatch.
 
 No mode needs numpy: every mode runs on the standard library alone.
@@ -233,7 +237,7 @@ def _emit(args, columns, rows, csv_rows=lambda row: [row]) -> None:
 
 def _mode_solve(instances, args) -> int:
     rows = []
-    for idx, (name, formula) in enumerate(sorted(instances)):
+    for idx, (name, formula) in enumerate(instances):
         cls = _resolve_class(formula, args.problem_class)
         seed = derive_seed(args.seed, idx)
         result = solve(formula, cls, _config(args, seed))
@@ -250,7 +254,7 @@ def _curve_rows(row):
 
 def _mode_enumerate(instances, args) -> int:
     rows = []
-    for idx, (name, formula) in enumerate(sorted(instances)):
+    for idx, (name, formula) in enumerate(instances):
         cls = _resolve_class(formula, args.problem_class)
         cfg = _config(args, derive_seed(args.seed, idx))
         report = enumerate_optima(formula, cls, cfg, args.executions)
@@ -270,7 +274,7 @@ def _mode_enumerate(instances, args) -> int:
 
 def _mode_oracle_check(instances, args) -> int:
     rows = []
-    for idx, (name, formula) in enumerate(sorted(instances)):
+    for idx, (name, formula) in enumerate(instances):
         cls = _resolve_class(formula, args.problem_class)
         try:
             truth = brute_force(formula, cls, args.oracle_max_vars)
@@ -301,7 +305,7 @@ def _sweep(instances, args, knob, values, columns) -> int:
     has norm_objective, a row also holds its solves' mean objective normalised
     by the IQR of all the instance's solves."""
     rows = []
-    for idx, (name, formula) in enumerate(sorted(instances)):
+    for idx, (name, formula) in enumerate(instances):
         cls = _resolve_class(formula, args.problem_class)
         cells = []
         for v_idx, value in enumerate(values):
@@ -354,6 +358,8 @@ def main(argv=None) -> int:
     if not instances:
         sys.stderr.write("error: no usable instances\n")
         return 2 if parse_failed else 1
+    # by name only: a stable sort keeps inputs of the same name in input order
+    instances.sort(key=lambda item: item[0])
     try:
         code = _MODE_RUNNERS[args.mode](instances, args)
     except ValueError as exc:

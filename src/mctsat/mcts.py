@@ -91,7 +91,18 @@ shaped episode is ``shuffled_completion`` (its swaps on the arm's ``rest``
 list, then the one bit draw) followed by ``EpisodeKernel.shaped``, which
 walks ``advance``'s steps and adds its terms in the same order.  The three
 functions stay as the references that the tests hold ``solve`` to, with the
-same RNG calls and the same float expressions, so the same rewards.
+same RNG calls and the same float expressions, so the same rewards.  Each
+level builds its arm table once, as parallel lists indexed by arm: the
+child's assignment (``ys``) and free variables as a bitset (``masks``), and
+for shaped rewards its ``rest`` list and its one-step start point as the
+unsatisfied clauses, value and reward sum (``unsats``, ``values``,
+``totals``), so an episode indexes lists instead of unpacking a tuple.  A
+``rest`` list holds one (lit[u][0], lit[u][1], u) triple per free variable u,
+and a walk step reads its clause set as ``triple[bit]``, one subscript
+instead of two.  A variable's two arms share one ``rest`` list: each shuffle
+starts from the order the last one left, so the sharing is part of the RNG
+results.  The next level's free variables and each arm's bitset follow from
+the committed variable, with no re-sort.
 """
 
 from __future__ import annotations
@@ -136,6 +147,12 @@ class SolverConfig:
 class LevelStats:
     """One level's bandit: per-arm visit counts, reward sums and reward
     extremes in ``actions`` order, plus the level's total visit count.
+
+    ``backup`` keeps ``total`` equal to the sum of ``visits``.  ``solve``
+    writes it twice per level instead: the arm count before expansion, which
+    ``exploration_arms`` reads at its first draw, after expansion, and the
+    budget after exploration.  Between the two it runs ahead of the sum; in
+    every snapshot that ``solve`` returns, it equals it.
 
     ``mean`` (q_sum / visits) and ``rad`` (1 / sqrt(visits)) cache each arm's
     part of its UCT value; an unvisited arm holds inf in both, so its UCT
@@ -407,7 +424,8 @@ def theory_budgets(
     every child is explored at least once with probability >= 1 - delta1.
     execution_bound: independent executions so all ``num_optima`` optima are
     seen with probability >= 1 - epsilon, assuming a uniform draw per run.
-    Raises a ValueError when explore_bound is past the float range.
+    Raises a ValueError when explore_bound or execution_bound is past the
+    float range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -426,11 +444,15 @@ def theory_budgets(
     child = math.ceil(math.log(1.0 / delta1) / math.log1p(1.0 / (2 * n - 1))) + 2 * n
     if num_optima == 1:
         execution = 1
-    else:
+    else:  # log(s / (s - 1)) as -log1p(-1/s): log(s) - log(s - 1) cancels to 0.0 at 10**15
         s = num_optima
-        execution = math.ceil(
-            math.log(s / epsilon) / (math.log(s) - math.log(s - 1))
-        )
+        try:
+            execution = math.ceil(math.log(s / epsilon) / -math.log1p(-1 / s))
+        except OverflowError:
+            raise ValueError(
+                f"the execution bound for num_optima = 10**{math.log10(s):.1f},"
+                f" epsilon = {epsilon!r} is past the float range"
+            ) from None
     return TheoryBudgets(explore, child, execution)
 
 
@@ -619,6 +641,7 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     increment = kind is RewardKind.INCREMENT_WEIGHTED
     mixed = kind is RewardKind.MIXED
     y, free, point = 0, list(range(n)), EpisodeKernel.START
+    free_mask = (1 << n) - 1
     best_value, best_y = -1, 0
     per_level, levels = [], []  # budgets, snapshots
     tables, wsum = kernel.tables, kernel.wsum
@@ -626,32 +649,42 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     # bounds them all, and the floats are backup's own
     inv_sqrt = [math.inf] + [1.0 / math.sqrt(v) for v in range(1, budget0 + 1)]
     lit, gains, coef = kernel.lit, kernel.gains, kernel.coef
+    triples = [(off, on, u) for u, (off, on) in enumerate(lit)]  # rest lists' items
     getrandbits = rng.getrandbits
     t0 = time.perf_counter()
 
     while free:
-        # per arm: the child's assignment, its free variables as a list and
-        # as a bitset, and (shaped rewards) its episode point
-        arms = []
+        # the arm table (see the module docstring); arm 2i + bit gives free[i]
+        # the value bit, and a variable's two arms share one rest list
+        ys, masks, rests, unsats, values, totals = [], [], [], [], [], []
         for v in free:
-            rest = [u for u in free if u != v]
-            rest_mask = sum(1 << u for u in rest)
+            rest_mask = free_mask ^ 1 << v
+            if shaped:
+                rest = [triples[u] for u in free if u != v]
             for bit in (0, 1):
-                start = kernel.advance(point, (v,), bit, increment) if shaped else None
-                arms.append((y | bit << v, rest, rest_mask, start))
+                ys.append(y | bit << v)
+                masks.append(rest_mask)
+                if shaped:
+                    _, sat, value, total = kernel.advance(point, (v,), bit, increment)
+                    rests.append(rest)
+                    unsats.append(all_clauses ^ sat)
+                    values.append(value)
+                    totals.append(total)
         # every arm's episode has the same length, so the same shuffle swaps,
         # each (i, bits of its draw), and the same step coefficients
         width = len(free) - 1
         swaps = [(i, (i + 1).bit_length()) for i in range(width - 1, 0, -1)]
         coefs = coef[n + 1 - width :]  # the last width steps' coefficients
         level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
-        budget = max(nominal, len(arms) + 1)
+        budget = max(nominal, len(ys) + 1)
         visits, q_sum, r_max, r_min = level.visits, level.q_sum, level.r_max, level.r_min
         mean, rad = level.mean, level.rad
+        # exploration_arms reads total once, at its first draw, after expansion
+        level.total = len(ys)
         # expansion, then exploration; the episode and backup inlined
-        for arm in chain(range(len(arms)), exploration_arms(level, cfg, rng, budget - len(arms))):
+        for arm in chain(range(len(ys)), exploration_arms(level, cfg, rng, budget - len(ys))):
             if shaped:
-                child_y, rest, _, (_, sat, value, total) = arms[arm]
+                rest = rests[arm]
                 for i, size in swaps:  # shuffled_completion, in place on rest
                     j = getrandbits(size)
                     while j > i:
@@ -661,9 +694,9 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                 # kernel.shaped: advance's walk and terms, in its order; each
                 # step follows the arm's own, so r1 counts every gain.  It keeps
                 # the unsatisfied clauses: & with the negative ~sat is slower
-                unsat = all_clauses ^ sat
-                for var, cf in zip(rest, coefs):
-                    new = lit[var][step & 1] & unsat
+                unsat, value, total = unsats[arm], values[arm], totals[arm]
+                for triple, cf in zip(rest, coefs):
+                    new = triple[step & 1] & unsat
                     step >>= 1
                     if new:
                         try:
@@ -679,10 +712,9 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                 reward = 0.5 * total + 0.5 * float(value) if mixed else total
                 if value > best_value:
                     best_value = value
-                    best_y = child_y | sum((bits >> i & 1) << u for i, u in enumerate(rest))
+                    best_y = ys[arm] | sum((bits >> i & 1) << t[2] for i, t in enumerate(rest))
             else:
-                child_y, _, rest_mask, _ = arms[arm]
-                full = child_y | (getrandbits(n) & rest_mask)  # uniform_completion
+                full = ys[arm] | (getrandbits(n) & masks[arm])  # uniform_completion
                 sat = 0
                 for base, table in tables:  # kernel.evaluate
                     sat |= table[full >> base & 0xFF]
@@ -690,7 +722,6 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                 if value > best_value:
                     best_value, best_y = value, full
                 reward = float(value)
-            level.total += 1
             v = visits[arm] = visits[arm] + 1
             q = q_sum[arm] = q_sum[arm] + reward
             mean[arm] = q / v
@@ -699,8 +730,12 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                 r_max[arm] = reward
             if reward < r_min[arm]:
                 r_min[arm] = reward
-        y, rest, _, point = arms[select_best_child(level, cfg.exploit_rule, rng)]
-        free = sorted(rest)
+        level.total = budget  # the sum of visits again
+        arm = select_best_child(level, cfg.exploit_rule, rng)
+        del free[arm >> 1]  # the committed variable; free stays sorted
+        y, free_mask = ys[arm], masks[arm]  # masks[arm] is the child's free set
+        if shaped:
+            point = (point[0] + 1, all_clauses ^ unsats[arm], values[arm], totals[arm])
         per_level.append(budget)
         levels.append(level.frozen())
 

@@ -51,3 +51,25 @@ def test_gain_needs_nine_tenths_won_beyond_the_parent_spread(step, losses, gain)
     assert s["won"] == 10 - losses
     assert s["gain"] is gain
     assert bench_pairs.headline("w", s).endswith("gain met" if gain else "gain not met")
+
+
+def test_worse_lines_carry_each_sides_median_operations_per_run():
+    # the change fits more solves into a run: obj_ratio moves with the instances scored
+    runs = [(0.994, 581, 0.993, 881), (0.995, 600, 0.993, 870), (0.994, 590, 0.992, 900)]
+    pairs = [
+        {
+            "seed": i,
+            "parent": {"attempted": pa, "metrics": {"obj_ratio": p, "episodes_per_ys": 10.0}},
+            "change": {"attempted": ca, "metrics": {"obj_ratio": c, "episodes_per_ys": 11.0}},
+        }
+        for i, (p, pa, c, ca) in enumerate(runs)
+    ]
+    better = {"obj_ratio": "higher", "episodes_per_ys": "higher"}
+    ops = bench_pairs.attempted(pairs)
+    assert ops == {"parent": 590, "change": 881}
+    summaries = bench_pairs.summary(pairs, better)
+    lines = bench_pairs.worse("w", summaries, {"obj_ratio": 0.005}, ops)
+    assert lines == [
+        "w: obj_ratio worse, parent 0.994 change 0.993 (-0.1%); within its bound 0.5%;"
+        " attempted per run parent 590 change 881"
+    ]

@@ -157,6 +157,36 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert run_cli(["does-not-exist.cnf"]) == 2
 
+    def test_inputs_with_one_file_name_are_solved_in_input_order(self, tmp_path, capsys):
+        twin = tmp_path / "uf20-02.cnf"
+        twin.write_text(UF20_01.read_text())
+        fixture = UF20_01.with_name("uf20-02.cnf")
+        assert run_cli([str(fixture), str(twin)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["instance"] for row in rows] == ["uf20-02.cnf"] * 2
+        # the fixture comes first, so it gets the seed it gets on its own
+        assert run_cli([str(fixture)]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert rows[0]["assignment"] == alone["assignment"]
+
+    @pytest.mark.parametrize(
+        "mode, rows_per_instance",
+        [("enumerate", 1), ("oracle-check", 1), ("ablation", 4), ("alpha-grid", 11)],
+    )
+    def test_every_mode_takes_inputs_with_one_file_name(
+        self, tmp_path, capsys, mode, rows_per_instance
+    ):
+        paths = []
+        for folder, text in (("a", "p cnf 2 2\n1 0\n-2 0\n"), ("b", "p cnf 1 1\n1 0\n")):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "same.cnf")
+            paths[-1].write_text(text)
+        args = ["--mode", mode, "--executions", "2", "--repeats", "1", *map(str, paths)]
+        assert run_cli(args) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == 2 * rows_per_instance
+        assert {row["instance"] for row in rows} == {"same.cnf"}
+
     def test_undecodable_file_is_2_and_run_continues(self, tmp_path, capsys):
         good = tmp_path / "ok.cnf"
         good.write_text("p cnf 1 1\n1 0\n")

@@ -4,6 +4,7 @@ theory budgets, and end-to-end solves against the oracle."""
 import copy
 import math
 import random
+import re
 from collections import Counter
 from itertools import chain
 
@@ -446,6 +447,21 @@ class TestTheoryBudgets:
         with pytest.raises(ValueError, match=f"n = {n}, epsilon = {epsilon!r}"):
             theory_budgets(n, epsilon)
 
+    def test_execution_bound_for_many_optima(self):
+        # log(s) - log(s - 1) rounds to 0.0 here; the bound is s ln(s / eps) (1 - 1/(2s)) + ...
+        s = 10**15
+        bound = theory_budgets(10, 0.05, num_optima=s).execution_bound
+        assert bound == pytest.approx(s * math.log(s / 0.05), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "num_optima, epsilon, power",
+        [(10**308, 0.05, "10**308.0"), (2**1100, 0.05, "10**331.1"), (10**307, 0.5, "10**307.0")],
+    )
+    def test_execution_bound_past_float_range_refused_by_name(self, num_optima, epsilon, power):
+        message = rf"num_optima = {re.escape(power)}, epsilon = {epsilon}"
+        with pytest.raises(ValueError, match=message):
+            theory_budgets(10, epsilon, num_optima=num_optima)
+
     def test_explore_bound_at_float_edge(self):
         bound = theory_budgets(1022, 0.1).explore_bound
         assert isinstance(bound, int) and 1e307 < bound < math.inf
@@ -727,14 +743,15 @@ class TestReferenceSearch:
     """``solve``, with its episodes and backup inline, against the same
     search run through the reference helpers: equal floats, not close ones."""
 
-    @pytest.mark.parametrize("reward", list(RewardKind), ids=lambda r: r.value)
-    @pytest.mark.parametrize(
+    CLASSES = pytest.mark.parametrize(
         "weighted, hard", [(False, 0), (True, 0), (False, 2), (True, 2)],
         ids=["maxsat", "wmaxsat", "pms", "wpms"],
     )
-    def test_solve_matches_reference(self, weighted, hard, reward):
-        # n = 10 puts two bytes of variables, so two tables, in play
-        f = generate_random(10, 30, 3, weighted=weighted, hard_count=hard, seed=17 + 3 * hard)
+    REWARDS = pytest.mark.parametrize("reward", list(RewardKind), ids=lambda r: r.value)
+
+    @staticmethod
+    def check(n, m, weighted, hard, reward):
+        f = generate_random(n, m, 3, weighted=weighted, hard_count=hard, seed=17 + 3 * hard)
         cls = classify(f)
         cfg = SolverConfig(seed=5 + weighted, reward=reward)
         assignment, levels = reference_search(f, cls, cfg)
@@ -745,3 +762,15 @@ class TestReferenceSearch:
             assert got.actions == want.actions and got.total == want.total
             for name in ("visits", "q_sum", "r_max", "r_min", "mean", "rad"):
                 assert list(getattr(got, name)) == getattr(want, name), name
+
+    @REWARDS
+    @CLASSES
+    def test_solve_matches_reference(self, weighted, hard, reward):
+        # n = 10 puts two bytes of variables, so two tables, in play
+        self.check(10, 30, weighted, hard, reward)
+
+    @REWARDS
+    @CLASSES
+    def test_solve_matches_reference_at_shaped_mix_size(self, weighted, hard, reward):
+        # the benchmark's shaped size: levels of up to 28 arms, walks of up to 13 steps
+        self.check(14, 50, weighted, hard, reward)
