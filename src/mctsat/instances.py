@@ -182,6 +182,7 @@ def _parse(tokens: list[tuple[str, int]], kind: str) -> Formula:
     rows: list[tuple[tuple[Literal, ...], int | str]] = []  # weight "h": hard, headerless
     weight = unread
     lits: list[Literal] = []
+    shared: dict[int, Literal] = {}  # one Literal per DIMACS code
     last_line = tokens[body - 1][1] if body else tokens[0][1]
     for pos in range(body, len(tokens)):
         tok, line = tokens[pos]
@@ -210,7 +211,10 @@ def _parse(tokens: list[tuple[str, int]], kind: str) -> Formula:
                     raise ParseError(
                         f"variable {abs(code)} exceeds declared count {num_vars}", line
                     )
-                lits.append(Literal.from_dimacs(code))
+                lit = shared.get(code)
+                if lit is None:
+                    lit = shared[code] = Literal.from_dimacs(code)
+                lits.append(lit)
         last_line = line
     if weight != unread or lits:
         raise ParseError("unterminated clause at end of input", last_line)
@@ -291,10 +295,11 @@ def generate_random(
     if not 0 <= hard_count <= m:
         raise ValueError("hard_count must be in [0, m]")
     rng = random.Random(seed)
+    signs = [(Literal(v), Literal(v, True)) for v in range(1, n + 1)]  # shared per variable
     shapes = []
     for _ in range(m):
         chosen = rng.sample(range(1, n + 1), k)
-        shapes.append(tuple(Literal(v, rng.random() < 0.5) for v in chosen))
+        shapes.append(tuple(signs[v - 1][rng.random() < 0.5] for v in chosen))
     soft_count = m - hard_count
     if weighted:
         soft_weights = [rng.randint(0, 1000) for _ in range(soft_count)]

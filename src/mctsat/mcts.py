@@ -25,14 +25,16 @@ scales, the first one being s_lo when c >= 0 and s_hi when c < 0.  Each arm
 gets lower = mean + s_lo * rad and upper = mean + s_hi * rad.  IEEE rounding
 is monotone and rad > 0, so s_lo <= s <= s_hi gives
 lower <= mean + s * rad <= upper in floating point too, exactly.  The bounds
-hold for an arm until it is drawn, and only *hot* arms are drawn.  The hot
-arms are evaluated per draw in two plain loops, one for their min and max
-and one that appends those reaching the threshold, each value recomputed
-rather than stored: the same expression gives the same float, and with the
-7.4 hot arms of an average uf20 draw at alpha 0.9 a stored value list, its
-comprehension and ``min``/``max`` cost more than the arithmetic (a replay
-of recorded uf20 draws ran 1.6x faster per draw without them on CPython
-3.11; recorded in CHANGES.md).  The exact min is found by scanning the arms
+hold for an arm until it is drawn, and only *hot* arms are drawn.  A draw
+evaluates each hot arm once, by the reference's expression, in the loop that
+finds their min and max or where the arm turns hot, into ``val``, a list
+indexed by arm and allocated once per call; a second loop appends the hot
+arms whose ``val`` reaches the threshold.  The store is one subscript in a
+loop that runs anyway and spares the second loop a multiply, an add and two
+list reads per arm (the uf20 fixtures solved 1.05x faster on CPython 3.11;
+recorded in CHANGES.md), while a value list built per draw paid an
+allocation, a comprehension and ``min``/``max`` each draw and was 1.6x
+slower.  The exact min is found by scanning the arms
 in ascending lower until a lower exceeds it; then, while the greatest upper
 left cold reaches the threshold, that arm turns hot.  Every cold arm is then
 below the threshold and below the hot max, so min, max, threshold and the
@@ -272,9 +274,10 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     from the stretch's two end scales and re-sorts the arms by lower and by
     upper bound in place, starting from the previous stretch's orders, whose
     tie order cannot change the eligible list (see the module docstring).
-    Per draw it evaluates the hot arms twice, in plain loops, and stores no
-    values: a value list with its comprehension and ``min``/``max`` made a
-    uf20 draw 1.6x slower on CPython 3.11 (see the module docstring).
+    Per draw it evaluates each hot arm once, writing the value into a list
+    indexed by arm that the call allocates once; the eligible loop reads it
+    back.  A fresh value list per draw, with its comprehension and
+    ``min``/``max``, made a uf20 draw 1.6x slower (see the module docstring).
     Like ``exploration_eligible``, it raises a ValueError when a stretch's
     scale or bounds are not finite.
     """
@@ -292,6 +295,7 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     beta = 1.0 - alpha
     getrandbits = rng.getrandbits
     by_lower, by_upper = list(range(k)), list(range(k))  # re-sorted per stretch
+    val = [0.0] * k  # val[a]: hot arm a's value at the current draw
     while episodes > 0:
         n = min(episodes, STRETCH)
         episodes -= n
@@ -315,7 +319,7 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
             a = hot[0]
             lo = hi = mean[a] + s * rad[a]
             for a in hot:
-                u = mean[a] + s * rad[a]
+                u = val[a] = mean[a] + s * rad[a]
                 if u < lo:
                     lo = u
                 elif u > hi:
@@ -337,12 +341,12 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
                 a = by_upper[h]
                 h += 1
                 hot.insert(bisect(hot, a), a)
-                u = mean[a] + s * rad[a]
+                u = val[a] = mean[a] + s * rad[a]
                 if u > hi:
                     hi = u
             eligible = []
             for a in hot:
-                if mean[a] + s * rad[a] >= thr:
+                if val[a] >= thr:
                     eligible.append(a)
             size = len(eligible)
             bits = size.bit_length()
