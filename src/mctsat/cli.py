@@ -185,14 +185,14 @@ def _load_inputs(args) -> tuple[list[tuple[str, Formula]], bool]:
             instances.extend(_parse_gen_spec(item, args.seed))
             continue
         path = Path(item)
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
+        try:  # bytes: the parser decodes them, replacing what is not UTF-8
+            data = path.read_bytes()
+        except OSError as exc:
             sys.stderr.write(f"error: {item}: {exc}\n")
             failed = True
             continue
         try:
-            instances.append((path.name, parse_dimacs(text)))
+            instances.append((path.name, parse_dimacs(data)))
         except ParseError as exc:
             sys.stderr.write(f"error: {item}: {exc}\n")
             failed = True

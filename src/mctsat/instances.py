@@ -110,11 +110,12 @@ class Formula:
 
 
 def _numbered_tokens(source: str | bytes) -> list[tuple[str, int]]:
-    """Whitespace tokens paired with their 1-based line number, comments dropped."""
+    """Whitespace tokens paired with their 1-based line number, comments and
+    a leading byte order mark dropped."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
     out = []
-    for line_no, line in enumerate(source.splitlines(), 1):
+    for line_no, line in enumerate(source.removeprefix("\ufeff").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue

@@ -29,34 +29,27 @@ hold for an arm until it is drawn, and only *hot* arms are drawn.  A draw
 evaluates each hot arm once, by the reference's expression, in the loop that
 finds their min and max or where the arm turns hot, into ``val``, a list
 indexed by arm and allocated once per call; a second loop appends the hot
-arms whose ``val`` reaches the threshold.  The store is one subscript in a
-loop that runs anyway and spares the second loop a multiply, an add and two
-list reads per arm (the uf20 fixtures solved 1.05x faster on CPython 3.11;
-recorded in CHANGES.md), while a value list built per draw paid an
-allocation, a comprehension and ``min``/``max`` each draw and was 1.6x
-slower.  The exact min is found by scanning the arms
-in ascending lower until a lower exceeds it; then, while the greatest upper
-left cold reaches the threshold, that arm turns hot.  Every cold arm is then
-below the threshold and below the hot max, so min, max, threshold and the
-eligible list (the hot arms that reach it, in index order) are the
-reference's, bit for bit.  The two orders are kept from one stretch to the
-next and re-sorted in place, which is cheap on nearly sorted lists; their
-tie order can then differ from a fresh sort's.  That can change which arms
-turn hot, never which are eligible: every arm with lower <= min is scanned
-whatever its place among equals, and every cold arm's value stays
+arms whose ``val`` reaches the threshold.  The exact min is found by
+scanning the arms in ascending lower until a lower exceeds it; then, while
+the greatest upper left cold reaches the threshold, that arm turns hot.
+Every cold arm is then below the threshold and below the hot max, so min,
+max, threshold and the eligible list (the hot arms that reach it, in index
+order) are the reference's, bit for bit.  The two orders are kept from one
+stretch to the next and re-sorted in place, which is cheap on nearly sorted
+lists; their tie order can then differ from a fresh sort's.  That can change
+which arms turn hot, never which are eligible: every arm with lower <= min
+is scanned whatever its place among equals, and every cold arm's value stays
 <= upper < threshold.  Backups only add visits, so the check that every arm
 has one is made once per call.  A longer stretch pays its set-up (two bound
 lists and two sorts of all arms) less often, a shorter one keeps its bounds
-tighter and so its hot set smaller; ``STRETCH`` = 32 was the fastest of 16,
-24, 32 and 48 in a paired sweep of per-solve time on the uf20 fixtures
-(recorded in CHANGES.md).
-``solve`` writes each backed-up arm's rad from a table of 1 / sqrt(v) for
-v = 1 .. level 0's budget, built once per solve: level 0's budget bounds the
-visits of every arm at every level, and the table holds the very floats that
-``backup`` computes.  The draw is CPython's rejection loop for
-``randrange(size)`` (b = size.bit_length(), then j = getrandbits(b) until
-j < size), and ``shuffled_completion`` runs it for each swap of ``shuffle``:
-the same ``getrandbits`` calls as the library, so the same RNG stream.
+tighter and so its hot set smaller.  CHANGES.md records the measurements
+behind ``val`` and ``STRETCH``.  ``solve`` writes each backed-up arm's rad
+from a table of 1 / sqrt(v) for v = 1 .. level 0's budget, built once per
+solve: level 0's budget bounds the visits of every arm at every level, and
+the table holds the very floats that ``backup`` computes.  The draw is
+CPython's rejection loop for ``randrange(size)`` (b = size.bit_length(),
+then j = getrandbits(b) until j < size), so the same ``getrandbits`` calls as
+the library; ``solve`` runs the same loop for each swap of ``shuffle``.
 
 Episodes are scored by ``EpisodeKernel``, built once per solve.  Assignments
 are ints with bit v set when variable v + 1 is 1; clause sets are ints with
@@ -85,26 +78,33 @@ each free variable ends up a fair bit, independent of the others and of the
 order of the draws.  The terminal reward depends on the final assignment
 only, so ``uniform_completion`` draws all free bits from one ``getrandbits``:
 the same distribution.  Shaped rewards depend on the order too, and
-``shuffled_completion`` draws a uniform order, then independent fair bits.
+``shuffled_completion`` draws the fair bits first, then a uniform order: the
+order in which ``shuffle``'s swaps, from the last slot down, place the
+variables, the reverse of the shuffled list.
 
 ``solve`` runs each episode inline, in its own frame, as it does the backup:
 the terminal episode is ``uniform_completion`` plus ``evaluate``, and the
-shaped episode is ``shuffled_completion`` (its swaps on the arm's ``rest``
-list, then the one bit draw) followed by ``EpisodeKernel.shaped``, which
-walks ``advance``'s steps and adds its terms in the same order.  The three
-functions stay as the references that the tests hold ``solve`` to, with the
-same RNG calls and the same float expressions, so the same rewards.  Each
-level builds its arm table once, as parallel lists indexed by arm: the
-child's assignment (``ys``) and free variables as a bitset (``masks``), and
-for shaped rewards its ``rest`` list and its one-step start point as the
-unsatisfied clauses, value and reward sum (``unsats``, ``values``,
-``totals``), so an episode indexes lists instead of unpacking a tuple.  A
-``rest`` list holds one (lit[u][0], lit[u][1], u) triple per free variable u,
-and a walk step reads its clause set as ``triple[bit]``, one subscript
-instead of two.  A variable's two arms share one ``rest`` list: each shuffle
-starts from the order the last one left, so the sharing is part of the RNG
-results.  The next level's free variables and each arm's bitset follow from
-the committed variable, with no re-sort.
+shaped episode is ``shuffled_completion`` and ``EpisodeKernel.shaped`` in one
+pass over the arm's ``rest`` list.  It draws the bits, then swaps slot i for
+i = width - 1 .. 0; a swap fixes the variable at ``rest[i]`` for good, so
+that variable is the walk's next step, scored and summed as ``advance``
+does.  The swap of slot 0 draws ``getrandbits(0)``, which is 0 and consumes
+no RNG state, so one loop covers every step.  Every episode of a level has
+one length, so each level builds once a ``plan`` of the steps' slots, draw
+widths and coefficients.  The three functions stay as the references that
+the tests hold ``solve`` to, with the same RNG calls and the same float
+expressions, so the same rewards.  Each level builds its arm table once, as
+parallel lists indexed by arm: the child's assignment (``ys``) and free
+variables as a bitset (``masks``), and for shaped rewards its ``rest`` list
+and its one-step start point as the unsatisfied clauses, value and reward
+sum (``unsats``, ``values``, ``totals``), so an episode indexes lists
+instead of unpacking a tuple.  A ``rest`` list holds one
+(lit[u][0], lit[u][1], u) triple per free variable u, and a walk step reads
+its clause set as ``triple[bit]``, one subscript instead of two.  A
+variable's two arms share one ``rest`` list: each shuffle starts from the
+order the last one left, so the sharing is part of the RNG results.  The
+next level's free variables and each arm's bitset follow from the committed
+variable, with no re-sort.
 """
 
 from __future__ import annotations
@@ -276,10 +276,9 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     tie order cannot change the eligible list (see the module docstring).
     Per draw it evaluates each hot arm once, writing the value into a list
     indexed by arm that the call allocates once; the eligible loop reads it
-    back.  A fresh value list per draw, with its comprehension and
-    ``min``/``max``, made a uf20 draw 1.6x slower (see the module docstring).
-    Like ``exploration_eligible``, it raises a ValueError when a stretch's
-    scale or bounds are not finite.
+    back (CHANGES.md records what a fresh value list per draw cost).  Like
+    ``exploration_eligible``, it raises a ValueError when a stretch's scale
+    or bounds are not finite.
     """
     if not level.visits:
         raise ValueError("level has no arms")
@@ -491,9 +490,9 @@ class EpisodeKernel:
     float expressions; so ``shaped`` equals the reference reward of an
     episode from depth 0.
 
-    ``solve`` runs ``shaped`` and ``advance``'s step walk inline, after its
-    inline ``shuffled_completion``; these methods are their references, and
-    ``advance`` still builds each arm's one-step start point.
+    ``solve`` runs ``shaped`` and ``advance``'s step walk inline, fused with
+    its inline ``shuffled_completion``; these methods are their references,
+    and ``advance`` still builds each arm's one-step start point.
 
     ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
     keyed by that set.  ``advance`` fills and reads it; a hit is the exact
@@ -577,16 +576,13 @@ def uniform_completion(y: int, free: int, n: int, rng) -> int:
 
 
 def shuffled_completion(free: list[int], rng) -> tuple[list[int], int]:
-    """A uniform order of the ``free`` variables (shuffled in place) and
-    their values as the bits of one int, bit i for the i-th variable."""
-    getrandbits = rng.getrandbits
-    for i in range(len(free) - 1, 0, -1):  # rng.shuffle(free), call for call
-        bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
-            j = getrandbits(bits)
-        free[i], free[j] = free[j], free[i]
-    return free, getrandbits(len(free))
+    """A uniform order of the ``free`` variables and their values as the bits
+    of one int, bit i for the i-th variable: the bits are drawn first, then
+    ``free`` is shuffled in place and the order is the reverse of it, the
+    order in which the shuffle's swaps place the variables."""
+    bits = rng.getrandbits(len(free))
+    rng.shuffle(free)
+    return free[::-1], bits
 
 
 def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveResult:
@@ -674,11 +670,11 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                     unsats.append(all_clauses ^ sat)
                     values.append(value)
                     totals.append(total)
-        # every arm's episode has the same length, so the same shuffle swaps,
-        # each (i, bits of its draw), and the same step coefficients
+        # one plan for every arm's walk, all of one length: per step, the slot i its
+        # swap fills, the bits of that draw (none at i = 0) and the step's coefficient
         width = len(free) - 1
-        swaps = [(i, (i + 1).bit_length()) for i in range(width - 1, 0, -1)]
-        coefs = coef[n + 1 - width :]  # the last width steps' coefficients
+        if shaped:
+            plan = [(i, i and (i + 1).bit_length(), coef[n - i]) for i in range(width - 1, -1, -1)]
         level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
         budget = max(nominal, len(ys) + 1)
         visits, q_sum, r_max, r_min = level.visits, level.q_sum, level.r_max, level.r_min
@@ -689,17 +685,19 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
         for arm in chain(range(len(ys)), exploration_arms(level, cfg, rng, budget - len(ys))):
             if shaped:
                 rest = rests[arm]
-                for i, size in swaps:  # shuffled_completion, in place on rest
+                bits = step = getrandbits(width)
+                # shuffled_completion on rest and kernel.shaped in one pass: each
+                # swap places a variable for good, and advance's walk scores it at
+                # once; each step follows the arm's own, so r1 counts every gain.
+                # It keeps the unsatisfied clauses: & with the negative ~sat is slower
+                unsat, value, total = unsats[arm], values[arm], totals[arm]
+                for i, size, cf in plan:
                     j = getrandbits(size)
                     while j > i:
                         j = getrandbits(size)
-                    rest[i], rest[j] = rest[j], rest[i]
-                bits = step = getrandbits(width)
-                # kernel.shaped: advance's walk and terms, in its order; each
-                # step follows the arm's own, so r1 counts every gain.  It keeps
-                # the unsatisfied clauses: & with the negative ~sat is slower
-                unsat, value, total = unsats[arm], values[arm], totals[arm]
-                for triple, cf in zip(rest, coefs):
+                    triple = rest[j]
+                    rest[j] = rest[i]
+                    rest[i] = triple
                     new = triple[step & 1] & unsat
                     step >>= 1
                     if new:
@@ -716,7 +714,8 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                 reward = 0.5 * total + 0.5 * float(value) if mixed else total
                 if value > best_value:
                     best_value = value
-                    best_y = ys[arm] | sum((bits >> i & 1) << t[2] for i, t in enumerate(rest))
+                    walk = reversed(rest)
+                    best_y = ys[arm] | sum((bits >> i & 1) << t[2] for i, t in enumerate(walk))
             else:
                 full = ys[arm] | (getrandbits(n) & masks[arm])  # uniform_completion
                 sat = 0

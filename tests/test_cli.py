@@ -187,6 +187,24 @@ class TestExitCodes:
         assert len(rows) == 2 * rows_per_instance
         assert {row["instance"] for row in rows} == {"same.cnf"}
 
+    def test_latin1_comment_and_byte_order_mark_are_solved(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.cnf"
+        latin1.write_bytes(b"c caf\xe9\np cnf 1 1\n1 0\n")
+        bom = tmp_path / "bom.cnf"
+        bom.write_bytes(b"\xef\xbb\xbfp cnf 1 1\n1 0\n")
+        assert run_cli([str(latin1), str(bom)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(row["instance"], row["objective"]) for row in rows] == [
+            ("bom.cnf", 1), ("latin1.cnf", 1)
+        ]
+
+    def test_non_utf8_byte_in_a_clause_is_2_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"p cnf 2 1\n1 -2\xe9 0\n")
+        assert run_cli([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.cnf" in err and "line 2: invalid literal" in err
+
     def test_undecodable_file_is_2_and_run_continues(self, tmp_path, capsys):
         good = tmp_path / "ok.cnf"
         good.write_text("p cnf 1 1\n1 0\n")

@@ -42,6 +42,20 @@ class TestParseCnf:
         f = parse_cnf(b"p cnf 1 1\n1 0\n")
         assert f.num_clauses == 1
 
+    def test_non_utf8_comment_and_byte_order_mark(self):
+        # a latin-1 byte in a comment is dropped with the comment; a leading
+        # BOM, as str or as UTF-8 bytes, is not part of the header
+        for source in (b"c caf\xe9\np cnf 1 1\n1 0\n", "\ufeffp cnf 1 1\n1 0\n",
+                       b"\xef\xbb\xbfc comment\np cnf 1 1\n1 0\n"):
+            f = parse_dimacs(source)
+            assert (f.num_vars, f.clauses, f.top_weight) == (1, (Clause((lit(1),), 1, False),), None)
+
+    def test_non_utf8_byte_in_a_clause_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(b"c caf\xe9\np cnf 2 1\n1 -2\xe9 0\n")
+        assert err.value.line == 3
+        assert "invalid literal" in str(err.value)
+
     def test_clause_spanning_lines(self):
         f = parse_cnf("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses[0].literals == (lit(1), lit(2), lit(3))

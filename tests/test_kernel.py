@@ -156,18 +156,25 @@ def test_shuffled_completion_order_frequencies():
     rng = random.Random(2025)
     orders = Counter()
     bit_counts = Counter()
+    placed = Counter()  # (walk position, variable there, its bit)
     free = [3, 5, 8]
     draws = 10_000
     for _ in range(draws):
         order, bits = shuffled_completion(free, rng)
         orders[tuple(order)] += 1
         bit_counts[bits] += 1
+        placed.update((i, u, bits >> i & 1) for i, u in enumerate(order))
     assert set(orders) == set(itertools.permutations([3, 5, 8]))
     for count in orders.values():
         assert abs(count / draws - 1 / 6) < 0.02
     assert len(bit_counts) == 8
     for count in bit_counts.values():
         assert abs(count / draws - 1 / 8) < 0.02
+    # the bits are drawn before the order: each position's bit is still fair
+    # and independent of which variable lands there
+    assert len(placed) == 3 * 3 * 2
+    for count in placed.values():
+        assert abs(count / draws - 1 / 6) < 0.02
 
 
 def test_hard_weight_rule_rejected():

@@ -577,53 +577,53 @@ class TestSolve:
                  1, 1, 5, 18, 20, 1, 36, 1, 3, 13, 18, 19, 2, 1, 6, 13, 72, 1, 11, 15),
             ),
             (
-                "wpms", RewardKind.INCREMENT_WEIGHTED, "010111100010", 57575,
-                (7, 1, 1, 1, 66, 1, 1, 1, 1, 8, 5, 9, 3, 1, 2, 1, 3, 1, 2, 2, 65, 31, 66, 1),
+                "wpms", RewardKind.INCREMENT_WEIGHTED, "011111100011", 57575,
+                (1, 1, 1, 1, 126, 7, 6, 1, 1, 4, 1, 1, 4, 2, 1, 112, 3, 1, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "wpms", RewardKind.PREFIX_WEIGHTED, "011111110010", 57575,
-                (1, 1, 1, 1, 2, 1, 1, 131, 1, 2, 1, 1, 1, 1, 1, 1, 1, 122, 1, 1, 1, 3, 2, 1),
+                "wpms", RewardKind.PREFIX_WEIGHTED, "100001011111", 57185,
+                (1, 1, 79, 1, 2, 1, 1, 1, 60, 1, 1, 1, 1, 82, 1, 1, 2, 37, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "wpms", RewardKind.MIXED, "011111100010", 57575,
-                (1, 1, 1, 1, 2, 1, 1, 251, 1, 2, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 2, 2, 1),
+                "wpms", RewardKind.MIXED, "011111001010", 57478,
+                (1, 1, 86, 1, 2, 1, 1, 1, 58, 1, 1, 1, 1, 38, 1, 1, 2, 76, 1, 1, 1, 1, 1, 1),
             ),
             # unit weights, weights and a hard top weight through the step gains
             (
-                "maxsat", RewardKind.INCREMENT_WEIGHTED, "010111100010", 40,
-                (1, 1, 52, 4, 84, 17, 1, 4, 1, 1, 4, 4, 2, 2, 6, 8, 1, 11, 3, 9, 1, 6, 44, 13),
+                "maxsat", RewardKind.INCREMENT_WEIGHTED, "001011100101", 40,
+                (1, 2, 59, 1, 82, 64, 1, 1, 8, 2, 7, 1, 3, 7, 1, 8, 3, 3, 1, 2, 3, 1, 3, 16),
             ),
             (
                 "maxsat", RewardKind.PREFIX_WEIGHTED, "001011100101", 40,
-                (1, 1, 2, 1, 1, 1, 252, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+                (1, 1, 1, 1, 1, 1, 255, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "maxsat", RewardKind.MIXED, "101011111111", 39,
-                (1, 1, 2, 1, 1, 1, 248, 3, 1, 1, 1, 4, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+                "maxsat", RewardKind.MIXED, "001011100101", 40,
+                (1, 1, 1, 1, 1, 1, 254, 1, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "wmaxsat", RewardKind.INCREMENT_WEIGHTED, "010111111010", 20149,
-                (1, 1, 83, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 4, 71, 1, 1, 11, 1, 1, 5, 65, 23),
+                "wmaxsat", RewardKind.INCREMENT_WEIGHTED, "000011100101", 20159,
+                (1, 1, 2, 1, 21, 1, 1, 1, 3, 1, 1, 1, 1, 232, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1),
             ),
             (
-                "wmaxsat", RewardKind.PREFIX_WEIGHTED, "010111110010", 20159,
-                (1, 1, 1, 1, 1, 1, 1, 1, 1, 255, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+                "wmaxsat", RewardKind.PREFIX_WEIGHTED, "011111100011", 20159,
+                (1, 2, 1, 1, 1, 1, 132, 1, 1, 125, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "wmaxsat", RewardKind.MIXED, "010111001010", 20042,
-                (1, 1, 2, 1, 1, 1, 115, 1, 1, 138, 1, 3, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1),
+                "wmaxsat", RewardKind.MIXED, "011111100010", 20159,
+                (1, 21, 1, 1, 1, 1, 124, 1, 1, 114, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "pms", RewardKind.INCREMENT_WEIGHTED, "101001101010", 115,
-                (2, 1, 1, 1, 3, 1, 1, 2, 1, 20, 18, 41, 25, 1, 37, 7, 3, 1, 19, 8, 28, 7, 29, 23),
+                "pms", RewardKind.INCREMENT_WEIGHTED, "010111110010", 116,
+                (1, 1, 1, 1, 113, 102, 8, 1, 2, 4, 2, 1, 10, 2, 1, 14, 8, 1, 2, 1, 1, 1, 1, 1),
             ),
             (
-                "pms", RewardKind.PREFIX_WEIGHTED, "011111001010", 115,
-                (1, 3, 83, 1, 4, 1, 1, 123, 1, 2, 2, 1, 1, 1, 1, 1, 1, 44, 1, 1, 1, 2, 2, 1),
+                "pms", RewardKind.PREFIX_WEIGHTED, "011111100011", 116,
+                (1, 1, 5, 1, 4, 1, 1, 1, 95, 1, 1, 1, 1, 71, 1, 1, 3, 84, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "pms", RewardKind.MIXED, "010111001011", 115,
-                (1, 2, 18, 1, 2, 1, 1, 125, 1, 3, 2, 1, 3, 1, 1, 1, 1, 107, 1, 1, 1, 2, 2, 1),
+                "pms", RewardKind.MIXED, "011111001010", 115,
+                (1, 1, 95, 1, 2, 1, 1, 1, 5, 1, 1, 1, 1, 75, 1, 1, 2, 83, 1, 1, 1, 1, 1, 1),
             ),
         ],
         ids=[
