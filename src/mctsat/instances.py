@@ -111,11 +111,13 @@ class Formula:
 
 def _numbered_tokens(source: str | bytes) -> list[tuple[str, int]]:
     """Whitespace tokens paired with their 1-based line number, comments and
-    a leading byte order mark dropped."""
+    a leading byte order mark dropped.  Lines end at \\n, \\r\\n and \\r only,
+    so a form feed, U+0085 or U+2028 inside a comment does not end it."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
+    lines = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     out = []
-    for line_no, line in enumerate(source.removeprefix("\ufeff").splitlines(), 1):
+    for line_no, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue

@@ -1,7 +1,13 @@
 """Exhaustive ground truth for small instances.
 
-Walks all 2^n assignments in Gray-code order with incremental true-literal
-counts, so each step costs only the occurrence list of the flipped variable.
+Each assignment is scored through its satisfied clause set, an int with bit j
+set when clause j holds.  ``sets[v][b]`` is the set that literal ``v + 1 = b``
+satisfies, read straight off the clause literals.  The variables are split in
+two halves (Horowitz & Sahni's meet in the middle, 1974): table doubling over
+each half gives the 2^h satisfied sets of that half, indexed by its bits, and
+the assignment with high index i and low index k satisfies ``hi[i] | lo[k]``.
+A set's value is its bit count when every class weight is 1, and otherwise a
+sum over one weight table per byte of clauses, which is exact for any int.
 Kept independent of the matrix reduction: satisfaction and the class weight
 rules are evaluated directly on the clause literals here.
 """
@@ -30,70 +36,54 @@ def brute_force(
     if n > max_vars:
         raise ValueError(f"{n} variables exceed the enumeration guard {max_vars}")
 
-    m = f.num_clauses
     if problem_class is ProblemClass.MAXSAT:
-        weights = [1] * m
-    elif problem_class is ProblemClass.WEIGHTED_MAXSAT:
-        weights = [c.weight for c in f.clauses]
+        weights = [1] * f.num_clauses
     elif problem_class is ProblemClass.PARTIAL_MAXSAT:
         weights = [c.weight if c.hard else 1 for c in f.clauses]
     else:
         weights = [c.weight for c in f.clauses]
-    hard = [c.hard for c in f.clauses]
-    hard_total = sum(hard)
 
-    # occ[v]: (clause, net change of its true-literal count when var v+1 flips 0 -> 1)
-    net = [[0] * m for _ in range(n)]
-    true_count = [0] * m
+    sets = [[0, 0] for _ in range(n)]
+    hard = 0
     for j, clause in enumerate(f.clauses):
         for lit in clause.literals:
-            if lit.negated:
-                net[lit.var - 1][j] -= 1
-                true_count[j] += 1  # all-zero start satisfies negated literals
-            else:
-                net[lit.var - 1][j] += 1
-    occ = [
-        [(j, d) for j, d in enumerate(row) if d != 0]
-        for row in net
-    ]
+            sets[lit.var - 1][not lit.negated] |= 1 << j
+        if clause.hard:
+            hard |= 1 << j
 
-    sat_weight = 0
-    hard_sat = 0
-    for j in range(m):
-        if true_count[j] >= 1:
-            sat_weight += weights[j]
-            if hard[j]:
-                hard_sat += 1
-    best = sat_weight
-    best_masks = [0]
-    hard_feasible = hard_sat == hard_total
+    h = n // 2
+    halves = []
+    for part in (sets[:h], sets[h:]):
+        table = [0]
+        for off, on in part:
+            table = [s | off for s in table] + [s | on for s in table]
+        halves.append(table)
+    lo, hi = halves
 
-    gray = 0
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        gray ^= bit
-        delta = 1 if gray & bit else -1
-        for j, d in occ[v]:
-            old = true_count[j]
-            new = old + d * delta
-            true_count[j] = new
-            if (old >= 1) != (new >= 1):
-                if new >= 1:
-                    sat_weight += weights[j]
-                    if hard[j]:
-                        hard_sat += 1
-                else:
-                    sat_weight -= weights[j]
-                    if hard[j]:
-                        hard_sat -= 1
-        if hard_sat == hard_total:
-            hard_feasible = True
-        if sat_weight > best:
-            best = sat_weight
-            best_masks = [gray]
-        elif sat_weight == best:
-            best_masks.append(gray)
+    if all(w == 1 for w in weights):
+        value = int.bit_count
+    else:
+        tables = []  # tables[k][byte]: the weight of the clauses 8k.. set in byte
+        for k in range(0, len(weights), 8):
+            table = [0]
+            for w in weights[k : k + 8]:
+                table += [t + w for t in table]
+            tables.append(table)
+        size, at = len(tables), list.__getitem__
+
+        def value(s: int) -> int:
+            return sum(map(at, tables, s.to_bytes(size, "little")))
+
+    best, best_masks, hard_feasible = -1, [], False
+    for i, hs in enumerate(hi):
+        row = [value(hs | ls) for ls in lo]
+        top = max(row)
+        if top >= best:
+            if top > best:
+                best, best_masks = top, []
+            best_masks += [i << h | k for k, v in enumerate(row) if v == top]
+        if not hard_feasible:
+            hard_feasible = any((hs | ls) & hard == hard for ls in lo)
 
     optimal_set = tuple(
         sorted(tuple((mask >> v) & 1 for v in range(n)) for mask in best_masks)

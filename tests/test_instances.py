@@ -56,6 +56,22 @@ class TestParseCnf:
         assert err.value.line == 3
         assert "invalid literal" in str(err.value)
 
+    # characters that str.splitlines() treats as line breaks, but DIMACS does not
+    SPLITLINES_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+    def test_comment_keeps_splitlines_only_breaks(self):
+        for ch in self.SPLITLINES_ONLY:
+            text = f"c note{ch}-1 0\np cnf 1 1\n1 0\n"
+            for source in (text, text.encode()):
+                f = parse_dimacs(source)
+                assert (f.num_vars, f.clauses, f.top_weight) == (1, (Clause((lit(1),), 1, False),), None)
+
+    def test_later_error_keeps_its_line_number(self):
+        for ch in self.SPLITLINES_ONLY:
+            with pytest.raises(ParseError) as err:
+                parse_dimacs(f"c a{ch}b\rc d{ch}e\r\np cnf 1 1\n2 0\n")
+            assert str(err.value) == "line 4: variable 2 exceeds declared count 1"
+
     def test_clause_spanning_lines(self):
         f = parse_cnf("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses[0].literals == (lit(1), lit(2), lit(3))

@@ -6,6 +6,9 @@ import random
 import pytest
 
 from mctsat import (
+    Clause,
+    Formula,
+    Literal,
     ProblemClass,
     brute_force,
     classify,
@@ -61,23 +64,54 @@ class TestExamples:
         assert brute_force(f, ProblemClass.MAXSAT).optimum == 3
 
 
+def heavy(base, hard_count, seed):
+    """``base`` with soft weights near 2^70 and its first ``hard_count``
+    clauses hard, weighted one above the soft sum."""
+    rng = random.Random(seed)
+    soft = [2**70 + rng.randrange(2**70) for _ in base.clauses[hard_count:]]
+    top = sum(soft) + 1
+    clauses = [Clause(c.literals, top, True) for c in base.clauses[:hard_count]]
+    clauses += [Clause(c.literals, w) for c, w in zip(base.clauses[hard_count:], soft)]
+    return Formula(base.num_vars, tuple(clauses), top if hard_count else None)
+
+
 class TestCrossCheck:
     def test_matches_naive_sweep_on_random_instances(self):
         rng = random.Random(314)
+        cases = []
         for _ in range(30):
             n = rng.randint(2, 9)
             m = rng.randint(1, 20)
             weighted = rng.random() < 0.5
             hard = rng.randint(0, 2) if rng.random() < 0.5 else 0
-            f = generate_random(
+            cases.append(generate_random(
                 n, m, rng.randint(1, min(3, n)), weighted, min(hard, m), rng.randint(0, 10**6)
-            )
+            ))
+        # past n = 9, odd and even n (halves of unequal and equal size), every class
+        cases.append(generate_random(10, 43, 3, seed=1))
+        cases.append(heavy(generate_random(11, 47, 3, seed=2), 0, seed=2))
+        cases.append(generate_random(12, 51, 3, hard_count=3, seed=3))
+        cases.append(heavy(generate_random(11, 47, 3, seed=4), 4, seed=4))
+        # weights 0 and 1: weighted, though no weight exceeds 1
+        base = generate_random(8, 20, 3, seed=6)
+        cases.append(Formula(8, tuple(Clause(c.literals, j % 2) for j, c in enumerate(base.clauses))))
+        # hard-infeasible: x1 and -x1 both hard
+        soft = generate_random(10, 30, 3, seed=5).clauses
+        contradiction = (Clause((Literal(1),), 31, True), Clause((Literal(1, True),), 31, True))
+        cases.append(Formula(10, contradiction + soft, 31))
+
+        classes, feasibility = set(), []
+        for f in cases:
             cls = classify(f)
             res = brute_force(f, cls)
             best, best_set, feasible = naive_sweep(f, cls)
             assert res.optimum == best
             assert set(res.optimal_set) == best_set
             assert res.hard_feasible == feasible
+            classes.add(cls)
+            feasibility.append(feasible)
+        assert classes == set(ProblemClass)
+        assert not feasibility[-1]
 
     def test_optimum_bounded_by_total_weight(self):
         rng = random.Random(4)
