@@ -8,7 +8,8 @@ the weights as exact Python ints (an object array), so the sum is exact for
 any weight, with no int64 limit.
 
 numpy is imported only inside the functions that build or read this matrix
-view, so the search, which scores on int bitsets, runs without it.
+view.  The search and the oracle score on the clause-set format built here,
+without it: a clause set is an int with bit j for clause j.
 """
 
 from __future__ import annotations
@@ -89,6 +90,44 @@ def checked_weights(f: Formula, problem_class: ProblemClass) -> list[int]:
     return objective_weights(f, problem_class)
 
 
+def literal_sets(f: Formula) -> list[list[int]]:
+    """``sets[v][b]``: the set of clauses that literal ``v + 1 = b`` satisfies."""
+    sets = [[0, 0] for _ in range(f.num_vars)]
+    for j, clause in enumerate(f.clauses):
+        for lit in clause.literals:
+            sets[lit.var - 1][not lit.negated] |= 1 << j
+    return sets
+
+
+def union_table(sets: list[list[int]]) -> list[int]:
+    """Entry i: the union of ``sets[t][i >> t & 1]``, the satisfied set of
+    assignment i to a slice of ``literal_sets``; built by doubling."""
+    table = [0]
+    for off, on in sets:
+        table = [s | off for s in table] + [s | on for s in table]
+    return table
+
+
+def weight_sum(weights: list[int]):
+    """A function from a clause set to the exact sum of its clauses' weights:
+    ``int.bit_count`` when every weight is 1, otherwise a sum over one
+    256-entry table per byte of clauses, exact for any int weight."""
+    if all(w == 1 for w in weights):
+        return int.bit_count
+    tables = []  # tables[k][byte]: the weight of the clauses 8k.. set in byte
+    for k in range(0, len(weights), 8):
+        table = [0]
+        for w in weights[k : k + 8]:
+            table += [t + w for t in table]
+        tables.append(table)
+    size, at = len(tables), list.__getitem__
+
+    def wsum(s: int) -> int:
+        return sum(map(at, tables, s.to_bytes(size, "little")))
+
+    return wsum
+
+
 def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
     """Build the (w, a_y, b) reduction; raises like ``checked_weights``.  w
     holds the weights as exact Python ints, with no int64 limit."""
@@ -130,20 +169,26 @@ class ObjectiveResult:
 
 def objective(f: Formula, problem_class: ProblemClass, y) -> ObjectiveResult:
     """Weighted satisfied sum of a complete assignment, with the per-clause
-    satisfaction mask and the indices of violated hard clauses.  The sum is
-    exact for any weight."""
-    import numpy as np
-
-    arr = np.asarray(y)
-    if arr.shape != (f.num_vars,) or not (((arr == 0) | (arr == 1)).all()):
+    satisfaction mask and the indices of violated hard clauses.  Each clause
+    is evaluated on its literals, so the sum is exact for any weight."""
+    try:  # a 1-D sequence of n scalars (an array item has ndim > 0), each 0 or 1
+        bits = [v == 1 if not getattr(v, "ndim", 0) and v in (0, 1) else None for v in y]
+    except TypeError:  # not a sequence
+        bits = [None]
+    if getattr(y, "ndim", 1) != 1 or len(bits) != f.num_vars or None in bits:
         raise ValueError("assignment must be a complete 0/1 vector of length n")
-    p = to_blp(f, problem_class)
-    sat = satisfied_mask(p, arr.astype(np.int64))
-    value = int(p.w[sat].sum())
-    hard_violations = tuple(
-        int(j) for j in np.flatnonzero(~sat) if f.clauses[j].hard
-    )
-    return ObjectiveResult(value, tuple(bool(s) for s in sat), hard_violations)
+    weights = checked_weights(f, problem_class)
+    sat = []  # a plain loop: any() over a generator per clause takes 4x as long
+    for c in f.clauses:
+        for lit in c.literals:
+            if bits[lit.var - 1] != lit.negated:
+                sat.append(True)
+                break
+        else:
+            sat.append(False)
+    value = sum(w for w, s in zip(weights, sat) if s)
+    hard_violations = tuple(j for j, c in enumerate(f.clauses) if c.hard and not sat[j])
+    return ObjectiveResult(value, tuple(sat), hard_violations)
 
 
 def format_blp(p: BlpProblem) -> str:

@@ -51,26 +51,23 @@ CPython's rejection loop for ``randrange(size)`` (b = size.bit_length(),
 then j = getrandbits(b) until j < size), so the same ``getrandbits`` calls as
 the library; ``solve`` runs the same loop for each swap of ``shuffle``.
 
-Episodes are scored by ``EpisodeKernel``, built once per solve.  Assignments
-are ints with bit v set when variable v + 1 is 1; clause sets are ints with
-bit j for clause j; ``lit[v][b]`` holds the clauses satisfied by v + 1 = b.
-A 256-entry table per byte of variables maps that byte of a full assignment
-to the union of its literals' sets, so scoring takes ceil(n / 8) lookups.  A
-set's weight (``wsum``) is its popcount for unit weights, else the sum of its
-clauses' weights over its set bits: exact integer arithmetic for any weight.
-A shaped reward scores every step by its gain, the weight of the clauses the
-step newly satisfies, new = lit[v][b] & ~sat.  A gain depends on the set new
-alone, so ``advance`` looks it up in the kernel's ``gains`` dict, keyed by
-new, and calls ``wsum`` only on a miss: a hit is the int ``wsum`` returned
-for that very set.  Each key is a subset of one literal's clause set, so the
-dict holds at most the sum of 2^|lit[v][b]| over the literals, in practice
-600-1,600 entries on a shaped solve at n = 14, m = 50; it lives as long as
-the kernel, one solve.  ``evaluate`` scores whole assignments, which seldom
-repeat, with ``wsum`` directly.  Rewards are floats, so ``solve`` refuses
-a total weight x (n + 1) x level budget past the largest float, which
-bounds every reward and every arm's reward sum; it blames the weights when
-the least budget, 2n + 1, already overflows, else explore_factor.  It also
-refuses a c whose largest bonus, added to the largest reward, would
+Episodes are scored by ``EpisodeKernel``, built once per solve from the
+clause-set format of ``mctsat.blp`` that the oracle scores on too.
+Assignments are ints with bit v set when variable v + 1 is 1, clause sets
+ints with bit j for clause j, and ``lit[v][b]`` the clauses that v + 1 = b
+satisfies.  One ``union_table`` per byte of variables maps that byte of a
+full assignment to its satisfied set, so scoring takes ceil(n / 8) lookups,
+and ``wsum`` (``weight_sum``) gives a set's exact weight.  A shaped reward
+scores every step by its gain, the weight of the clauses the step newly
+satisfies, new = lit[v][b] & ~sat.  A gain depends on the set new alone, so
+``advance`` looks it up in the kernel's ``gains`` dict, keyed by new, and
+calls ``wsum`` only on a miss.  Each key is a subset of one literal's clause
+set, so the dict holds at most the sum of 2^|lit[v][b]| over the literals;
+it lives as long as the kernel, one solve.  Rewards are floats, so ``solve``
+refuses a total weight x (n + 1) x level budget past the largest float,
+which bounds every reward and every arm's reward sum; it blames the weights
+when the least budget, 2n + 1, already overflows, else explore_factor.  It
+also refuses a c whose largest bonus, added to the largest reward, would
 overflow a UCT value.
 
 A uniform rollout draws one of the 2(n - k) remaining actions per step, so
@@ -118,7 +115,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
 
-from .blp import checked_weights
+from .blp import checked_weights, literal_sets, union_table, weight_sum
 from .instances import Formula, ProblemClass
 from .rl import Action, RewardKind
 from .rl import rollout  # noqa: F401  # tracing site of the rollout layer, not called
@@ -488,7 +485,8 @@ class EpisodeKernel:
     episode, the point (steps, satisfied set, value, total), where ``total``
     sums ``EpisodeScorer.score``'s r1 or r2 terms in its order and with its
     float expressions; so ``shaped`` equals the reference reward of an
-    episode from depth 0.
+    episode from depth 0.  ``lit``, ``tables`` and ``wsum`` are built by
+    ``mctsat.blp``'s ``literal_sets``, ``union_table`` and ``weight_sum``.
 
     ``solve`` runs ``shaped`` and ``advance``'s step walk inline, fused with
     its inline ``shuffled_completion``; these methods are their references,
@@ -497,37 +495,16 @@ class EpisodeKernel:
     ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
     keyed by that set.  ``advance`` fills and reads it; a hit is the exact
     int ``wsum`` computed for the same key.  Every key is a subset of one
-    ``lit[v][b]``, which bounds the dict by the sum of 2^|lit[v][b]| (see
-    the module docstring for the sizes met in practice).
+    ``lit[v][b]``, which bounds the dict by the sum of 2^|lit[v][b]|.
     """
 
     START = (0, 0, 0, 0.0)
 
     def __init__(self, f: Formula, problem_class: ProblemClass):
-        weights = checked_weights(f, problem_class)
         n = f.num_vars
-        self.lit = lit = [[0, 0] for _ in range(n)]
-        for j, clause in enumerate(f.clauses):
-            for literal in clause.literals:
-                lit[literal.var - 1][0 if literal.negated else 1] |= 1 << j
-        self.tables = []
-        for base in range(0, n, 8):
-            table = [0]
-            for off, on in lit[base : base + 8]:
-                table = [s | off for s in table] + [s | on for s in table]
-            self.tables.append((base, table))
-        if all(w == 1 for w in weights):
-            self.wsum = int.bit_count
-        else:
-            def wsum(s: int) -> int:
-                total = 0
-                while s:
-                    low = s & -s
-                    total += weights[low.bit_length() - 1]
-                    s ^= low
-                return total
-
-            self.wsum = wsum
+        self.wsum = weight_sum(checked_weights(f, problem_class))
+        self.lit = lit = literal_sets(f)
+        self.tables = [(base, union_table(lit[base : base + 8])) for base in range(0, n, 8)]
         # step s has the coefficient (n + 1 - s) / n in both r1 and r2
         self.coef = [0.0] + [(n + 1 - s) / n for s in range(1, n + 1)]
         self.gains: dict[int, int] = {}  # wsum of each step's new set seen so far

@@ -1,21 +1,22 @@
 """Exhaustive ground truth for small instances.
 
-Each assignment is scored through its satisfied clause set, an int with bit j
-set when clause j holds.  ``sets[v][b]`` is the set that literal ``v + 1 = b``
-satisfies, read straight off the clause literals.  The variables are split in
-two halves (Horowitz & Sahni's meet in the middle, 1974): table doubling over
-each half gives the 2^h satisfied sets of that half, indexed by its bits, and
-the assignment with high index i and low index k satisfies ``hi[i] | lo[k]``.
-A set's value is its bit count when every class weight is 1, and otherwise a
-sum over one weight table per byte of clauses, which is exact for any int.
-Kept independent of the matrix reduction: satisfaction and the class weight
-rules are evaluated directly on the clause literals here.
+Each assignment is scored through its satisfied clause set, in the clause-set
+format of ``mctsat.blp`` that the search scores on too.  The variables are
+split in two halves (Horowitz & Sahni's meet in the middle, 1974):
+``union_table`` gives the 2^h satisfied sets of each half, indexed by its
+bits, and the assignment with high index i and low index k satisfies
+``hi[i] | lo[k]``, whose value is its ``weight_sum``.  The class weight rules
+are the oracle's own, read off the clauses here.  Two references stay
+independent of the shared format: ``naive_sweep`` in tests/test_oracle.py
+scores every assignment through ``blp.objective``, which walks the clause
+literals, and perfbench/reference.py runs its own vectorised enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .blp import literal_sets, union_table, weight_sum
 from .instances import Formula, ProblemClass
 
 
@@ -43,36 +44,11 @@ def brute_force(
     else:
         weights = [c.weight for c in f.clauses]
 
-    sets = [[0, 0] for _ in range(n)]
-    hard = 0
-    for j, clause in enumerate(f.clauses):
-        for lit in clause.literals:
-            sets[lit.var - 1][not lit.negated] |= 1 << j
-        if clause.hard:
-            hard |= 1 << j
-
+    sets = literal_sets(f)
+    hard = sum(1 << j for j, clause in enumerate(f.clauses) if clause.hard)
     h = n // 2
-    halves = []
-    for part in (sets[:h], sets[h:]):
-        table = [0]
-        for off, on in part:
-            table = [s | off for s in table] + [s | on for s in table]
-        halves.append(table)
-    lo, hi = halves
-
-    if all(w == 1 for w in weights):
-        value = int.bit_count
-    else:
-        tables = []  # tables[k][byte]: the weight of the clauses 8k.. set in byte
-        for k in range(0, len(weights), 8):
-            table = [0]
-            for w in weights[k : k + 8]:
-                table += [t + w for t in table]
-            tables.append(table)
-        size, at = len(tables), list.__getitem__
-
-        def value(s: int) -> int:
-            return sum(map(at, tables, s.to_bytes(size, "little")))
+    lo, hi = union_table(sets[:h]), union_table(sets[h:])
+    value = weight_sum(weights)
 
     best, best_masks, hard_feasible = -1, [], False
     for i, hs in enumerate(hi):

@@ -187,6 +187,27 @@ class TestObjective:
             y = [rng.randint(0, 1) for _ in range(f.num_vars)]
             assert objective(f, cls, y).value == objective_directly(f, cls, y)
 
+    def test_matches_weights_over_satisfied_mask(self):
+        # objective walks the clause literals; the matrix row test must agree
+        rng = random.Random(23)
+        for i in range(80):
+            cls = list(ProblemClass)[i % 4]
+            weighted = cls in (ProblemClass.WEIGHTED_MAXSAT, ProblemClass.WEIGHTED_PARTIAL_MAXSAT)
+            hard = rng.randint(1, 3) if i % 4 >= 2 else 0
+            n, m = rng.randint(1, 12), rng.randint(hard + 1, 70)
+            f = generate_random(n, m, min(3, n), weighted, hard, rng.randint(0, 10**6))
+            assert classify(f) is cls
+            p, weights = to_blp(f, cls), objective_weights(f, cls)
+            for _ in range(10):
+                y = [rng.randint(0, 1) for _ in range(n)]
+                mask = satisfied_mask(p, np.array(y)).tolist()
+                res = objective(f, cls, y)
+                assert res.satisfied == tuple(mask)
+                assert res.value == sum(w for w, s in zip(weights, mask) if s)
+                assert res.hard_violations == tuple(
+                    j for j, c in enumerate(f.clauses) if c.hard and not mask[j]
+                )
+
     def test_unit_weight_rule_counts_satisfied(self):
         rng = random.Random(5)
         f = generate_random(6, 20, 3, seed=3)

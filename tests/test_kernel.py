@@ -54,19 +54,20 @@ def test_value_and_mask_match_objective(n):
 
 def test_weight_sum_is_exact():
     rng = random.Random(64)
-    for weights in (
-        [1] * 40,
-        [rng.randint(0, 1000) for _ in range(40)],
-        [2**64, 2**64 + 1, 2**63, 3] + [rng.randint(1, 2**70) for _ in range(36)],
-    ):
-        clauses = tuple(
-            Clause((Literal(rng.randint(1, 5), rng.random() < 0.5),), w) for w in weights
-        )
-        kernel = EpisodeKernel(Formula(5, clauses), ProblemClass.WEIGHTED_MAXSAT)
-        for _ in range(200):
-            s = sum(1 << j for j in rng.sample(range(40), rng.randint(0, 40)))
-            exact = sum(w for j, w in enumerate(weights) if s >> j & 1)
-            assert kernel.wsum(s) == exact
+    for m in (1, 7, 8, 9, 40, 65):  # on and off the byte boundary of the weight tables
+        for weights in (
+            [1] * m,
+            [0] * m,
+            [rng.randint(0, 1000) for _ in range(m)],
+            ([2**64, 2**64 + 1, 2**63, 3] + [rng.randint(1, 2**70) for _ in range(m)])[:m],
+        ):
+            clauses = tuple(
+                Clause((Literal(rng.randint(1, 5), rng.random() < 0.5),), w) for w in weights
+            )
+            kernel = EpisodeKernel(Formula(5, clauses), ProblemClass.WEIGHTED_MAXSAT)
+            for s in [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(200)]:
+                exact = sum(w for j, w in enumerate(weights) if s >> j & 1)
+                assert kernel.wsum(s) == exact
 
 
 def huge_weight_instance(n, seed):

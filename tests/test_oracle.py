@@ -92,6 +92,8 @@ class TestCrossCheck:
         cases.append(heavy(generate_random(11, 47, 3, seed=2), 0, seed=2))
         cases.append(generate_random(12, 51, 3, hard_count=3, seed=3))
         cases.append(heavy(generate_random(11, 47, 3, seed=4), 4, seed=4))
+        # weighted partial with 70 clauses: weight tables past 8 bytes
+        cases.append(generate_random(12, 70, 3, weighted=True, hard_count=3, seed=8))
         # weights 0 and 1: weighted, though no weight exceeds 1
         base = generate_random(8, 20, 3, seed=6)
         cases.append(Formula(8, tuple(Clause(c.literals, j % 2) for j, c in enumerate(base.clauses))))
