@@ -14,14 +14,19 @@ quartiles and the pairs the change won, lost and tied, judged by the metric's
 ``better`` direction in the parent's BENCHMARK.json, and ``gain``: whether
 the change won at least nine tenths of the pairs (ties count for neither
 side) and its median beats the parent's by more than the parent's
-quartile spread, q3 - q1.  The script ends by printing one line per
-workload with the ``episodes_per_ys`` summary and its gain verdict, then
-one line per end-to-end metric whose median is worse on the change, with its
-relative change, its ``bound`` from the parent's BENCHMARK.json and each
-side's median ``attempted`` operations per run on that workload (a run
-averages ``hit_rate`` and ``obj_ratio`` over the solves that fit into it, so
-a faster side scores more instances), then one line per failed run.  It
-exits 1 when any run is not ``correct`` or has a failed operation.
+quartile spread, q3 - q1; ``spread``, that spread over the parent's median;
+and ``separated``: whether every change run beats every parent run.  The
+script ends by printing one line per workload with the ``episodes_per_ys``
+summary and its gain verdict, then one line per end-to-end metric whose
+median is worse on the change or that is unresolved, with its relative
+change, its ``bound`` from the parent's BENCHMARK.json and each side's median
+``attempted`` operations per run on that workload (a run averages
+``hit_rate`` and ``obj_ratio`` over the solves that fit into it, so a faster
+side scores more instances), then one line per failed run.  A metric is
+unresolved when its ``spread`` is wider than its bound, so that the runs
+cannot show whether the change stays within the bound, unless it is
+``separated``.  It exits 1 when any run is not ``correct`` or has a failed
+operation.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
+        iqr = pq["q3"] - pq["q1"]
         out[name] = {
             "better": direction,
             "parent": pq,
@@ -75,8 +81,9 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
             "won": won,
             "lost": lost,
             "tied": len(pairs) - won - lost,
-            "gain": 10 * won >= 9 * len(pairs)
-            and sign * (cq["median"] - pq["median"]) > pq["q3"] - pq["q1"],
+            "gain": 10 * won >= 9 * len(pairs) and sign * (cq["median"] - pq["median"]) > iqr,
+            "spread": iqr / abs(pq["median"]) if pq["median"] else math.inf if iqr else 0.0,
+            "separated": min(sign * c for c in change) > max(sign * p for p in parent),
         }
     return out
 
@@ -105,19 +112,29 @@ def attempted(pairs: list[dict]) -> dict[str, float]:
 def worse(
     workload: str, summaries: dict, bounds: dict[str, float], ops: dict[str, float]
 ) -> list[str]:
-    """One line per metric whose change median is worse than the parent's,
-    with ``ops``, each side's median operations per run (``attempted``)."""
+    """One line per metric of ``bounds`` that is unresolved (see the module
+    docstring) or whose change median is worse than the parent's, with
+    ``ops``, each side's median operations per run (``attempted``)."""
     lines = []
-    for name, s in summaries.items():
+    for name, bound in bounds.items():
+        s = summaries[name]
         p, c = s["parent"]["median"], s["change"]["median"]
         sign = 1 if s["better"] == "higher" else -1
-        if sign * (c - p) >= 0:
+        if p:
+            delta = (c - p) / p
+        else:
+            delta = 0.0 if c == p else math.copysign(math.inf, c - p)
+        if s["spread"] > bound and not s["separated"]:
+            head = "unresolved"
+            verdict = f"parent spread {s['spread']:.1%} of its median, wider than its bound"
+        elif sign * (c - p) < 0:
+            head = "worse"
+            verdict = f"{'beyond' if abs(delta) > bound else 'within'} its bound"
+        else:
             continue
-        delta = (c - p) / p if p else math.copysign(math.inf, c - p)
-        verdict = "beyond" if abs(delta) > bounds[name] else "within"
         lines.append(
-            f"{workload}: {name} worse, parent {p:.4g} change {c:.4g} ({delta:+.1%});"
-            f" {verdict} its bound {bounds[name]:.1%};"
+            f"{workload}: {name} {head}, parent {p:.4g} change {c:.4g} ({delta:+.1%});"
+            f" {verdict} {bound:.1%};"
             f" attempted per run parent {ops['parent']:g} change {ops['change']:g}"
         )
     return lines

@@ -7,9 +7,10 @@ literals.  The objective is the w-weighted sum of satisfied rows; w holds
 the weights as exact Python ints (an object array), so the sum is exact for
 any weight, with no int64 limit.
 
-numpy is imported only inside the functions that build or read this matrix
-view.  The search and the oracle score on the clause-set format built here,
-without it: a clause set is an int with bit j for clause j.
+numpy (the ``matrix`` extra) is imported only inside the functions that build
+or read this matrix view: ``to_blp``, ``satisfied_mask`` and ``format_blp``.
+The search and the oracle score on the clause-set format built here, without
+it: a clause set is an int with bit j for clause j.
 """
 
 from __future__ import annotations
@@ -145,14 +146,6 @@ def to_blp(f: Formula, problem_class: ProblemClass) -> BlpProblem:
             else:
                 a_y[j, lit.var - 1] += 1
     return BlpProblem(_frozen(w), _frozen(a_y), _frozen(b))
-
-
-def to_tableaux(p: BlpProblem) -> SatTableaux:
-    """State layout with every variable still unassigned."""
-    import numpy as np
-
-    y = np.full(p.num_vars, UNASSIGNED, dtype=np.int8)
-    return SatTableaux(p.w, p.a_y, _frozen(y))
 
 
 def satisfied_mask(p: BlpProblem, y: np.ndarray) -> np.ndarray:

@@ -73,29 +73,28 @@ overflow a UCT value.
 A uniform rollout draws one of the 2(n - k) remaining actions per step, so
 each free variable ends up a fair bit, independent of the others and of the
 order of the draws.  The terminal reward depends on the final assignment
-only, so ``uniform_completion`` draws all free bits from one ``getrandbits``:
-the same distribution.  Shaped rewards depend on the order too, and
-``shuffled_completion`` draws the fair bits first, then a uniform order: the
-order in which ``shuffle``'s swaps, from the last slot down, place the
-variables, the reverse of the shuffled list.
+only, so the terminal episode draws all free bits from one ``getrandbits``:
+the same distribution.  Shaped rewards depend on the order too, so a shaped
+episode draws the fair bits first, then a uniform order: the order in which
+``shuffle``'s swaps, from the last slot down, place the variables.
 
 ``solve`` runs each episode inline, in its own frame, as it does the backup:
-the terminal episode is ``uniform_completion`` plus ``evaluate``, and the
-shaped episode is ``shuffled_completion`` and ``EpisodeKernel.shaped`` in one
-pass over the arm's ``rest`` list.  It draws the bits, then swaps slot i for
+the terminal episode is that one draw plus ``evaluate``, and the shaped
+episode is the shuffle and ``advance``'s walk in one pass over the arm's
+``rest`` list.  It draws the bits, then swaps slot i for
 i = width - 1 .. 0; a swap fixes the variable at ``rest[i]`` for good, so
 that variable is the walk's next step, scored and summed as ``advance``
 does.  The swap of slot 0 draws ``getrandbits(0)``, which is 0 and consumes
 no RNG state, so one loop covers every step.  Every episode of a level has
 one length, so each level builds once a ``plan`` of the steps' slots, draw
-widths and coefficients.  The three functions stay as the references that
-the tests hold ``solve`` to, with the same RNG calls and the same float
-expressions, so the same rewards.  Each level builds its arm table once, as
-parallel lists indexed by arm: the child's assignment (``ys``) and free
-variables as a bitset (``masks``), and for shaped rewards its ``rest`` list
-and its one-step start point as the unsatisfied clauses, value and reward
-sum (``unsats``, ``values``, ``totals``), so an episode indexes lists
-instead of unpacking a tuple.  A ``rest`` list holds one
+widths and coefficients.  The tests hold ``solve`` to plain versions of both
+episodes (``tests/mctsat_reference.py``), with the same RNG calls and the
+same float expressions, so the same rewards.  Each level builds its arm
+table once, as parallel lists indexed by arm: the child's assignment
+(``ys``) and free variables as a bitset (``masks``), and for shaped rewards
+its ``rest`` list and its one-step start point as the unsatisfied clauses,
+value and reward sum (``unsats``, ``values``, ``totals``), so an episode
+indexes lists instead of unpacking a tuple.  A ``rest`` list holds one
 (lit[u][0], lit[u][1], u) triple per free variable u, and a walk step reads
 its clause set as ``triple[bit]``, one subscript instead of two.  A
 variable's two arms share one ``rest`` list: each shuffle starts from the
@@ -484,13 +483,13 @@ class EpisodeKernel:
     ``evaluate`` scores a full assignment.  ``advance`` extends a partial
     episode, the point (steps, satisfied set, value, total), where ``total``
     sums ``EpisodeScorer.score``'s r1 or r2 terms in its order and with its
-    float expressions; so ``shaped`` equals the reference reward of an
-    episode from depth 0.  ``lit``, ``tables`` and ``wsum`` are built by
-    ``mctsat.blp``'s ``literal_sets``, ``union_table`` and ``weight_sum``.
+    float expressions; so an episode walked from depth 0 gets the reference
+    reward.  ``lit``, ``tables`` and ``wsum`` are built by ``mctsat.blp``'s
+    ``literal_sets``, ``union_table`` and ``weight_sum``.
 
-    ``solve`` runs ``shaped`` and ``advance``'s step walk inline, fused with
-    its inline ``shuffled_completion``; these methods are their references,
-    and ``advance`` still builds each arm's one-step start point.
+    ``solve`` runs ``advance``'s step walk inline, fused with its shuffle;
+    ``advance`` is the walk's reference and still builds each arm's one-step
+    start point.
 
     ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
     keyed by that set.  ``advance`` fills and reads it; a hit is the exact
@@ -537,29 +536,6 @@ class EpisodeKernel:
             if not increment:
                 total += coef[s] * value
         return s, sat, value, total
-
-    def shaped(self, point, order, bits: int, kind: RewardKind) -> tuple[float, int]:
-        """(reward, value) of the episode that extends ``point`` to a leaf."""
-        increment = kind is RewardKind.INCREMENT_WEIGHTED
-        _, _, value, total = self.advance(point, order, bits, increment)
-        if kind is RewardKind.MIXED:
-            return 0.5 * total + 0.5 * float(value), value
-        return total, value
-
-
-def uniform_completion(y: int, free: int, n: int, rng) -> int:
-    """``y`` with each variable of the ``free`` bitset drawn as a fair bit."""
-    return y | (rng.getrandbits(n) & free)
-
-
-def shuffled_completion(free: list[int], rng) -> tuple[list[int], int]:
-    """A uniform order of the ``free`` variables and their values as the bits
-    of one int, bit i for the i-th variable: the bits are drawn first, then
-    ``free`` is shuffled in place and the order is the reverse of it, the
-    order in which the shuffle's swaps place the variables."""
-    bits = rng.getrandbits(len(free))
-    rng.shuffle(free)
-    return free[::-1], bits
 
 
 def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveResult:
@@ -663,7 +639,7 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
             if shaped:
                 rest = rests[arm]
                 bits = step = getrandbits(width)
-                # shuffled_completion on rest and kernel.shaped in one pass: each
+                # the shuffle of rest and advance's walk in one pass: each
                 # swap places a variable for good, and advance's walk scores it at
                 # once; each step follows the arm's own, so r1 counts every gain.
                 # It keeps the unsatisfied clauses: & with the negative ~sat is slower
@@ -694,7 +670,7 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                     walk = reversed(rest)
                     best_y = ys[arm] | sum((bits >> i & 1) << t[2] for i, t in enumerate(walk))
             else:
-                full = ys[arm] | (getrandbits(n) & masks[arm])  # uniform_completion
+                full = ys[arm] | (getrandbits(n) & masks[arm])  # every free bit from one draw
                 sat = 0
                 for base, table in tables:  # kernel.evaluate
                     sat |= table[full >> base & 0xFF]

@@ -56,13 +56,6 @@ def record_to_json(record: dict) -> str:
     return json.dumps(record)
 
 
-def parse_result(text: str) -> dict:
-    """Re-parse a JSON record; inverse of record_to_json."""
-    obj = json.loads(text)
-    values = (obj[key] for key in CSV_COLUMNS)
-    return dict(zip(CSV_COLUMNS, (tuple(v) if isinstance(v, list) else v for v in values)))
-
-
 def csv_cells(row: dict) -> list[str]:
     """A row dict's CSV cells in key order: sequences space-joined, bools as
     0/1, the CSV_DECIMALS columns with fixed decimals, anything else str()."""

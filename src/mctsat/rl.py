@@ -5,9 +5,11 @@ bit to an unassigned variable; the action space of a state at depth k has
 exactly 2(n - k) members.  An episode is a uniformly random completion of a
 partial assignment down to a leaf.
 
-This is the reference layer the search is checked against; numpy is imported
-only inside the functions that build its states and episodes, so the search
-runs without it.
+This is the reference layer the search is checked against; the tests build
+its depth-0 state and score single episodes with the helpers of
+``tests/mctsat_reference.py``.  numpy (the ``matrix`` extra) is imported only
+inside the functions that build its states and episodes, so the search runs
+without it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .blp import UNASSIGNED, SatTableaux, satisfied_mask, to_blp, to_tableaux
+from .blp import UNASSIGNED, SatTableaux, satisfied_mask, to_blp
 from .instances import Formula, ProblemClass
 
 if TYPE_CHECKING:
@@ -54,20 +56,6 @@ class Episode:
     steps: tuple[tuple[State, Action], ...]
     terminal_assignment: np.ndarray
 
-    @property
-    def start_depth(self) -> int:
-        if self.steps:
-            return self.steps[0][0].depth
-        return len(self.terminal_assignment)
-
-
-def initial_state(f: Formula, problem_class: ProblemClass):
-    """Depth-0 state and its action space of size 2n."""
-    if f.num_vars == 0:
-        raise ValueError("formula has no variables")
-    state = State(to_tableaux(to_blp(f, problem_class)), 0)
-    return state, action_space(state)
-
 
 def action_space(s: State) -> list[Action]:
     """Both assignments of every still-unassigned variable."""
@@ -97,16 +85,12 @@ def apply_action(s: State, a: Action) -> State:
     return State(SatTableaux(t.w, t.a_y, new_y), s.depth + 1)
 
 
-def is_terminal(s: State) -> bool:
-    return s.depth == s.num_vars
-
-
 def rollout(s: State, rng) -> Episode:
     """Uniform random completion: at every step one of the 2(n - k) remaining
     actions is drawn uniformly."""
     import numpy as np
 
-    if is_terminal(s):
+    if s.depth == s.num_vars:
         raise ValueError("cannot roll out from a terminal state")
     unassigned = [int(i) + 1 for i in np.flatnonzero(s.tableaux.y == UNASSIGNED)]
     steps = []
@@ -194,16 +178,3 @@ class EpisodeScorer:
             for i in range(max(1, d), n + 1):
                 total += (n + 1 - i) / n * values[i - d]
         return total
-
-
-def episode_reward(
-    e: Episode, f: Formula, problem_class: ProblemClass, kind: RewardKind
-) -> float:
-    """Reward of a complete episode under the chosen shape."""
-    import numpy as np
-
-    if (np.asarray(e.terminal_assignment) == UNASSIGNED).any():
-        raise ValueError("episode is incomplete")
-    if e.start_depth + len(e.steps) != f.num_vars:
-        raise ValueError("episode does not reach a full assignment")
-    return EpisodeScorer(f, problem_class).score(e, kind)

