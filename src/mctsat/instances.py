@@ -13,10 +13,15 @@ clause starts with its weight, or with "h" for a hard clause.  Then n is the
 largest variable used, and every hard clause gets the top weight, the total
 soft weight + 1, as ``generate_random`` sets it.  ``write_dimacs`` always
 writes the header dialect, which reads back to the same ``Formula``.
+
+``generate_random`` repeats inline the ``getrandbits`` and ``random`` calls
+of CPython's ``Random.sample``, ``random`` and ``randint``, so a seed gives the
+same formula as those calls did, on every supported Python version.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -288,6 +293,11 @@ def generate_random(
     The first ``hard_count`` clauses are hard; they share a weight of one more
     than the total soft weight, which also serves as the top weight.
     Bit-reproducible for a fixed seed.
+
+    Per clause it makes the ``getrandbits`` calls of
+    ``rng.sample(range(1, n + 1), k)`` inline (a pool swap while n <= sample's
+    ``setsize``, a rejection set above it), then one ``rng.random() < 0.5``
+    per sign; per soft weight, those of ``rng.randint(0, 1000)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -298,14 +308,43 @@ def generate_random(
     if not 0 <= hard_count <= m:
         raise ValueError("hard_count must be in [0, m]")
     rng = random.Random(seed)
+    getrandbits, rand = rng.getrandbits, rng.random
     signs = [(Literal(v), Literal(v, True)) for v in range(1, n + 1)]  # shared per variable
+    setsize = 21  # sample's choice of branch, variables 0-based
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
     shapes = []
-    for _ in range(m):
-        chosen = rng.sample(range(1, n + 1), k)
-        shapes.append(tuple(signs[v - 1][rng.random() < 0.5] for v in chosen))
+    if n <= setsize:
+        base = list(range(n))
+        draws = [(size, size.bit_length(), size - 1) for size in range(n, n - k, -1)]
+        for _ in range(m):
+            pool = base[:]
+            chosen = []
+            for size, bits, last in draws:
+                j = getrandbits(bits)
+                while j >= size:
+                    j = getrandbits(bits)
+                chosen.append(pool[j])
+                pool[j] = pool[last]
+            shapes.append(tuple([signs[v][rand() < 0.5] for v in chosen]))
+    else:
+        bits = n.bit_length()
+        for _ in range(m):
+            chosen = {}  # the picks, in order
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in chosen:
+                    j = getrandbits(bits)
+                chosen[j] = None
+            shapes.append(tuple([signs[v][rand() < 0.5] for v in chosen]))
     soft_count = m - hard_count
     if weighted:
-        soft_weights = [rng.randint(0, 1000) for _ in range(soft_count)]
+        soft_weights = []
+        for _ in range(soft_count):
+            w = getrandbits(10)  # rng.randint(0, 1000)'s calls
+            while w > 1000:
+                w = getrandbits(10)
+            soft_weights.append(w)
     else:
         soft_weights = [1] * soft_count
     top = sum(soft_weights) + 1 if hard_count else None

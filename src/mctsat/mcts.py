@@ -18,8 +18,9 @@ reaches (1 - alpha) * min + alpha * max.  ``solve`` draws the same arms from
 ``exploration_arms``, which evaluates only the arms that can decide a draw.
 It takes the draws in stretches of ``STRETCH``.  A stretch's s are c * r,
 with r = sqrt(2 ln t) read from a table that all solves share and that grows
-on demand: the same floats as computed in place, with log and sqrt paid once
-per process.  r never decreases in t and IEEE multiplication is monotone, so
+on demand, under a lock, so solves in threads cannot interleave its entries:
+the same floats as computed in place, with log and sqrt paid once per
+process.  r never decreases in t and IEEE multiplication is monotone, so
 the least and greatest s of a stretch, s_lo and s_hi, are its two end
 scales, the first one being s_lo when c >= 0 and s_hi when c < 0.  Each arm
 gets lower = mean + s_lo * rad and upper = mean + s_hi * rad.  IEEE rounding
@@ -108,6 +109,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import threading
 import time
 from bisect import bisect
 from dataclasses import dataclass, field, replace
@@ -257,6 +259,7 @@ def select_exploration_child(level: LevelStats, cfg: SolverConfig, rng) -> int:
 
 STRETCH = 32  # draws per set of bounds
 _ROOT_2_LOG = [math.nan]  # [t] = sqrt(2 ln t), grown on demand, shared by all solves
+_ROOT_2_LOG_LOCK = threading.Lock()  # held while the table grows
 
 
 def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
@@ -296,7 +299,11 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
         episodes -= n
         stop = total + n
         if len(_ROOT_2_LOG) < stop:
-            _ROOT_2_LOG.extend(math.sqrt(2.0 * math.log(t)) for t in range(len(_ROOT_2_LOG), stop))
+            # solves in threads share the table: re-read its length under the
+            # lock and append finished entries in one call
+            with _ROOT_2_LOG_LOCK:
+                start = len(_ROOT_2_LOG)
+                _ROOT_2_LOG.extend([math.sqrt(2.0 * math.log(t)) for t in range(start, stop)])
         ss = [c * r for r in _ROOT_2_LOG[total:stop]]
         total = stop
         # r never decreases along the stretch, so c * r is monotone

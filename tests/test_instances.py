@@ -1,5 +1,6 @@
 """Parsing, classification, generation and serialization round-trips."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from mctsat import (
     ProblemClass,
     check_hard_weight_rule,
     classify,
+    derive_seed,
     generate_random,
     parse_cnf,
     parse_dimacs,
@@ -22,6 +24,20 @@ from mctsat import (
 
 def lit(code):
     return Literal(abs(code), code < 0)
+
+
+def library_draws(n, m, k, weighted, hard_count, seed):
+    """The DIMACS literals and soft weights that ``Random.sample``,
+    ``Random.random`` and ``Random.randint`` draw for these arguments of
+    ``generate_random``."""
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(m):
+        chosen = rng.sample(range(1, n + 1), k)
+        codes.append([-v if rng.random() < 0.5 else v for v in chosen])
+    soft = m - hard_count
+    weights = [rng.randint(0, 1000) for _ in range(soft)] if weighted else [1] * soft
+    return codes, weights
 
 
 class TestParseCnf:
@@ -304,16 +320,76 @@ class TestGenerateRandom:
             ProblemClass.PARTIAL_MAXSAT,
         )
 
-    def test_k_bounds(self):
-        with pytest.raises(ValueError):
-            generate_random(3, 2, 4, seed=0)
-        with pytest.raises(ValueError):
-            generate_random(3, 2, 0, seed=0)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 2, 1, False, 0), "n must be"),
+            ((3, 0, 1, False, 0), "m must be"),
+            ((3, 2, 0, False, 0), "k must be"),
+            ((3, 2, 4, False, 0), "k must be"),
+            ((3, 2, 2, False, -1), "hard_count must be"),
+            ((3, 2, 2, True, 3), "hard_count must be"),
+        ],
+        ids=["n-below-1", "m-below-1", "k-below-1", "k-above-n", "hard-below-0", "hard-above-m"],
+    )
+    def test_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            generate_random(*args, seed=0)
 
     def test_distinct_vars_per_clause(self):
         f = generate_random(6, 40, 3, seed=9)
         for c in f.clauses:
             assert len({l.var for l in c.literals}) == 3
+
+    @pytest.mark.parametrize(
+        "n, m, k, weighted, hard",
+        [
+            (14, 50, 3, True, 2),
+            (20, 91, 3, False, 0),
+            (21, 30, 4, False, 0),  # the largest n of sample's pool branch at k <= 5
+            (22, 30, 4, True, 5),  # the smallest n of its set branch
+            (85, 20, 6, False, 0),  # the pool branch's largest n at k = 6
+            (86, 20, 7, True, 0),  # the set branch with k > 5
+            (5, 10, 5, False, 10),  # k = n, every clause hard
+            (3, 2000, 2, True, 0),  # enough weights to draw 1000, the largest
+        ],
+    )
+    def test_same_draws_as_the_library(self, n, m, k, weighted, hard):
+        for seed in (0, 7, 2**70 + 3):
+            f = generate_random(n, m, k, weighted, hard, seed)
+            codes, weights = library_draws(n, m, k, weighted, hard, seed)
+            assert [[l.to_dimacs() for l in c.literals] for c in f.clauses] == codes
+            assert [c.weight for c in f.clauses[hard:]] == weights
+
+    # (n, m, k, weighted, hard_count), each at seeds 0, 1 and 2**64 - 1
+    DIGEST_GRID = [
+        (22, 60, 3, False, 0),  # random.sample's set branch
+        (40, 120, 3, True, 2),
+        (100, 430, 3, False, 0),
+        (30, 40, 6, True, 0),  # its pool branch with k > 5
+        (100, 50, 7, False, 3),  # its set branch with k > 5
+        (9, 20, 9, True, 20),  # k = n, every clause hard
+        (1, 1, 1, False, 1),
+    ]
+
+    def test_output_digest_pinned(self):
+        """The formulas the library calls random.sample, random.random and
+        random.randint built; the same on CPython 3.10-3.13."""
+        h = hashlib.sha256()
+        for row in self.DIGEST_GRID:
+            for seed in (0, 1, 2**64 - 1):
+                h.update(write_dimacs(generate_random(*row, seed=seed)).encode())
+        assert h.hexdigest() == "ee7e36339b9b16f4d8bb0751cda3031878e6fde2c2fb690c77eccd8d16639937"
+
+    def test_uf20_fixtures_are_its_output(self, uf20_paths):
+        """scripts/make_uf20_fixtures.py keeps the satisfiable candidates of
+        generate_random(20, 91, 3, seed=derive_seed(20260601, c)); these are
+        the c it kept, in fixture order."""
+        kept = [0, 1, 6, 9, 10, 13, 14, 15, 16, 17, 18, 21, 22, 23, 24, 25, 28, 29, 30, 31]
+        assert len(uf20_paths) == len(kept)
+        for path, c in zip(uf20_paths, kept):
+            f = generate_random(20, 91, 3, seed=derive_seed(20260601, c))
+            assert path.read_text() == write_dimacs(f), path.name
 
 
 class TestRoundTrip:

@@ -5,6 +5,8 @@ import copy
 import math
 import random
 import re
+import threading
+import time
 from collections import Counter
 from itertools import chain
 
@@ -466,6 +468,45 @@ class TestTheoryBudgets:
     def test_explore_bound_at_float_edge(self):
         bound = theory_budgets(1022, 0.1).explore_bound
         assert isinstance(bound, int) and 1e307 < bound < math.inf
+
+
+class TestSharedScaleTable:
+    """Solves in threads share ``mcts._ROOT_2_LOG``, the table of
+    sqrt(2 ln t): growing it from several threads at once must leave every
+    entry at its value, or later solves in the process read wrong scales."""
+
+    class YieldingTable(list):
+        """Sleeps before each entry it appends, which releases the interpreter
+        lock, so other threads run in the middle of every growth."""
+
+        def extend(self, entries):
+            for entry in entries:
+                time.sleep(1e-5)
+                self.append(entry)
+
+    def test_concurrent_growth_keeps_every_entry(self, monkeypatch):
+        table = self.YieldingTable([math.nan])
+        monkeypatch.setattr(mcts, "_ROOT_2_LOG", table)
+        f = generate_random(6, 30, 3, seed=4)
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda seed: results.append(
+                    solve(f, ProblemClass.MAXSAT, SolverConfig(explore_factor=40, seed=seed))
+                ),
+                args=(i,),
+            )
+            for i in range(4)  # more threads than the CPUs of a small runner
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4
+        assert len(table) >= 40 * 30  # grown to level 0's budget
+        wrong = [t for t in range(1, len(table)) if table[t] != math.sqrt(2.0 * math.log(t))]
+        assert wrong == []
 
 
 class TestDeriveSeed:
