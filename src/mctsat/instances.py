@@ -16,7 +16,10 @@ writes the header dialect, which reads back to the same ``Formula``.
 
 ``generate_random`` repeats inline the ``getrandbits`` and ``random`` calls
 of CPython's ``Random.sample``, ``random`` and ``randint``, so a seed gives the
-same formula as those calls did, on every supported Python version.
+same formula as those calls did, on every supported Python version.  Where
+n is above ``sample``'s pool size, it builds a variable's two ``Literal``s when
+a clause first draws it, so a call over many variables and few clauses builds
+only the literals it uses.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A variable (1-based index) or its negation."""
 
@@ -65,7 +68,7 @@ class Literal:
         return -self.var if self.negated else self.var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Disjunction of literals with a non-negative weight.
 
@@ -92,19 +95,20 @@ class Formula:
     top_weight: int | None = None
 
     def __post_init__(self):
-        if self.num_vars < 0:
+        num_vars, top = self.num_vars, self.top_weight
+        if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         for idx, clause in enumerate(self.clauses):
             for lit in clause.literals:
-                if lit.var > self.num_vars:
+                if lit.var > num_vars:
                     raise ValueError(
                         f"clause {idx} uses variable {lit.var} "
-                        f"beyond num_vars={self.num_vars}"
+                        f"beyond num_vars={num_vars}"
                     )
-            if self.top_weight is None:
+            if top is None:
                 if clause.hard:
                     raise ValueError(f"clause {idx} is hard but no top weight is set")
-            elif clause.hard != (clause.weight == self.top_weight):
+            elif clause.hard != (clause.weight == top):
                 raise ValueError(
                     f"clause {idx}: hard flag must match weight == top_weight"
                 )
@@ -309,12 +313,12 @@ def generate_random(
         raise ValueError("hard_count must be in [0, m]")
     rng = random.Random(seed)
     getrandbits, rand = rng.getrandbits, rng.random
-    signs = [(Literal(v), Literal(v, True)) for v in range(1, n + 1)]  # shared per variable
     setsize = 21  # sample's choice of branch, variables 0-based
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     shapes = []
     if n <= setsize:
+        signs = [(Literal(v), Literal(v, True)) for v in range(1, n + 1)]  # shared per variable
         base = list(range(n))
         draws = [(size, size.bit_length(), size - 1) for size in range(n, n - k, -1)]
         for _ in range(m):
@@ -328,6 +332,7 @@ def generate_random(
                 pool[j] = pool[last]
             shapes.append(tuple([signs[v][rand() < 0.5] for v in chosen]))
     else:
+        signs = {}  # the pairs of the variables drawn; n may be far above them
         bits = n.bit_length()
         for _ in range(m):
             chosen = {}  # the picks, in order
@@ -336,6 +341,8 @@ def generate_random(
                 while j >= n or j in chosen:
                     j = getrandbits(bits)
                 chosen[j] = None
+                if j not in signs:
+                    signs[j] = (Literal(j + 1), Literal(j + 1, True))
             shapes.append(tuple([signs[v][rand() < 0.5] for v in chosen]))
     soft_count = m - hard_count
     if weighted:

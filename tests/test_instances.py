@@ -1,7 +1,11 @@
 """Parsing, classification, generation and serialization round-trips."""
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -390,6 +394,80 @@ class TestGenerateRandom:
         for path, c in zip(uf20_paths, kept):
             f = generate_random(20, 91, 3, seed=derive_seed(20260601, c))
             assert path.read_text() == write_dimacs(f), path.name
+
+    def test_builds_only_the_literals_it_draws(self):
+        """Two clauses over 10**5 variables build their 6 literals, not a
+        pair for every variable."""
+        tracemalloc.start()
+        try:
+            f = generate_random(10**5, 2, 3, seed=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        drawn = [l.var for c in f.clauses for l in c.literals]
+        assert len(drawn) == 6 and all(1 <= v <= 10**5 for v in drawn)
+
+
+class TestValueTypes:
+    """Literal, Clause and Formula are frozen values: compared, hashed,
+    pickled, copied, replaced and printed by their fields."""
+
+    each_type = pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Literal(3, True),
+            lambda: Clause((Literal(1), Literal(2, True)), 5),
+            lambda: Formula(2, (Clause((Literal(2),), 4, True), Clause((Literal(1),))), 4),
+        ],
+        ids=["literal", "clause", "formula"],
+    )
+
+    @each_type
+    def test_fields_are_frozen(self, make):
+        value = make()
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+
+    @each_type
+    def test_equal_and_hashed_by_value(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @each_type
+    def test_pickle_and_deepcopy_round_trip(self, make):
+        value = make()
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert clone == value and hash(clone) == hash(value)
+
+    def test_replace(self):
+        assert dataclasses.replace(Literal(3, True), negated=False) == Literal(3)
+        clause = dataclasses.replace(Clause((Literal(1),)), weight=7)
+        assert clause == Clause((Literal(1),), 7)
+        f = Formula(2, (Clause((Literal(2),)),))
+        assert dataclasses.replace(f, num_vars=5) == Formula(5, f.clauses)
+        with pytest.raises(ValueError, match="variable index"):
+            dataclasses.replace(Literal(3), var=0)
+        with pytest.raises(ValueError, match="beyond num_vars"):
+            dataclasses.replace(f, num_vars=1)
+
+    def test_differ_by_any_field(self):
+        assert Literal(3, True) != Literal(3) and Literal(3) != Literal(4)
+        assert Clause((Literal(1),), 2) != Clause((Literal(1),), 3)
+        assert Clause((Literal(1),), 2, True) != Clause((Literal(1),), 2)
+        assert Formula(1, (Clause((Literal(1),)),)) != Formula(2, (Clause((Literal(1),)),))
+
+    def test_repr(self):
+        assert repr(Literal(3, True)) == "Literal(var=3, negated=True)"
+        assert repr(Clause((Literal(1),), 2)) == (
+            "Clause(literals=(Literal(var=1, negated=False),), weight=2, hard=False)"
+        )
+        assert repr(Formula(1, (Clause((Literal(1),), 3, True),), 3)) == (
+            "Formula(num_vars=1, clauses=(Clause(literals=(Literal(var=1, negated=False),), "
+            "weight=3, hard=True),), top_weight=3)"
+        )
 
 
 class TestRoundTrip:
