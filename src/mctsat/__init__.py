@@ -1,5 +1,15 @@
 """mctsat: MaxSAT-family solving via a 0/1 linear reduction and Monte-Carlo
-tree search, with multi-optimum enumeration and an exhaustive oracle."""
+tree search, with multi-optimum enumeration and an exhaustive oracle.
+
+``import mctsat`` loads the parser, the BLP layer, the search and the RL
+layer.  The enumerator, the oracle and the records module load on first use
+(PEP 562): ``EnumerationReport`` and ``enumerate_optima``, ``OracleResult``
+and ``brute_force``, ``CSV_COLUMNS``, ``make_record`` and ``record_to_json``,
+and the submodules ``enumeration``, ``oracle`` and ``records`` themselves.
+They are lazy because finding all optima, or labels, is often many short
+processes, most of which call none of them, and their import (with the
+``json`` that ``records`` brings) is a share of each process's start.
+"""
 
 from .blp import (
     BlpProblem,
@@ -12,7 +22,6 @@ from .blp import (
     satisfied_mask,
     to_blp,
 )
-from .enumeration import EnumerationReport, enumerate_optima
 from .instances import (
     Clause,
     Formula,
@@ -46,12 +55,6 @@ from .mcts import (
     solve,
     theory_budgets,
     uct_value,
-)
-from .oracle import OracleResult, brute_force
-from .records import (
-    CSV_COLUMNS,
-    make_record,
-    record_to_json,
 )
 from .rl import (
     Action,
@@ -122,3 +125,34 @@ __all__ = [
     "uct_value",
     "write_dimacs",
 ]
+
+# lazy name -> the submodule that defines it; a submodule's name maps to itself
+_LAZY = {
+    "EnumerationReport": "enumeration",
+    "enumerate_optima": "enumeration",
+    "OracleResult": "oracle",
+    "brute_force": "oracle",
+    "CSV_COLUMNS": "records",
+    "make_record": "records",
+    "record_to_json": "records",
+    "enumeration": "enumeration",
+    "oracle": "oracle",
+    "records": "records",
+}
+
+
+def __getattr__(name):
+    """Import a lazy name's submodule on first use and cache the name here."""
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{module_name}")
+    value = module if name == module_name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

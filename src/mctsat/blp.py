@@ -155,6 +155,12 @@ def satisfied_mask(p: BlpProblem, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObjectiveResult:
+    """``objective``'s score of a complete assignment.  ``value`` is the sum of
+    the class's ``objective_weights`` over the satisfied clauses,
+    ``satisfied`` each clause's satisfaction in clause order, and
+    ``hard_violations`` the indices of the unsatisfied hard clauses,
+    ascending."""
+
     value: int
     satisfied: tuple[bool, ...]
     hard_violations: tuple[int, ...]

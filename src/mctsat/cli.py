@@ -23,19 +23,20 @@ and i.
 
 Exit codes: 0 success, 1 usage error, 2 parse failures, 3 oracle mismatch.
 
-No mode needs numpy: every mode runs on the standard library alone.
+No mode needs numpy: every mode runs on the standard library alone.  Each
+mode imports what only it uses when it runs: enumerate loads the enumerator,
+oracle-check the oracle and ``--format csv`` the CSV writer, so a JSON solve
+loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from pathlib import Path
 
-from .enumeration import enumerate_optima
 from .instances import (
     Formula,
     ParseError,
@@ -45,7 +46,6 @@ from .instances import (
     parse_dimacs,
 )
 from .mcts import ExploitRule, SolverConfig, derive_seed, solve
-from .oracle import brute_force
 from .records import CSV_COLUMNS, csv_cells, make_record
 from .rl import RewardKind
 
@@ -219,6 +219,8 @@ def _emit(args, columns, rows, csv_rows=lambda row: [row]) -> None:
     """Write row dicts as JSON lines, or as CSV under a ``columns`` header;
     ``csv_rows`` maps a row to the CSV rows it stands for."""
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -253,6 +255,8 @@ def _curve_rows(row):
 
 
 def _mode_enumerate(instances, args) -> int:
+    from .enumeration import enumerate_optima
+
     rows = []
     for idx, (name, formula) in enumerate(instances):
         cls = _resolve_class(formula, args.problem_class)
@@ -273,6 +277,8 @@ def _mode_enumerate(instances, args) -> int:
 
 
 def _mode_oracle_check(instances, args) -> int:
+    from .oracle import brute_force
+
     rows = []
     for idx, (name, formula) in enumerate(instances):
         cls = _resolve_class(formula, args.problem_class)

@@ -192,6 +192,13 @@ class LevelStats:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """A solve's search effort.  ``per_level`` holds each level's actual
+    budget, max(n_explore, |A_s| + 1) episodes, in level order, and
+    ``episodes`` their sum.  ``n_explore`` is the nominal budget
+    ceil(explore_factor * m).  ``wall_ms`` times the level loop only:
+    building the episode kernel and scoring the final assignment fall
+    outside it."""
+
     episodes: int
     per_level: tuple[int, ...]
     n_explore: int  # nominal per-level budget ceil(explore_factor * m)
@@ -415,6 +422,12 @@ def select_best_child(level: LevelStats, rule: ExploitRule, rng: random.Random) 
 
 @dataclass(frozen=True)
 class TheoryBudgets:
+    """The lower bounds of ``theory_budgets``.  ``explore_bound``: explorations
+    from the root that hit one fixed assignment with probability >= 1 - epsilon.
+    ``child_visit_bound``: a root-level budget that explores every child at
+    least once with probability >= 1 - delta1.  ``execution_bound``: independent
+    executions that see all the optima with probability >= 1 - epsilon."""
+
     explore_bound: int
     child_visit_bound: int
     execution_bound: int

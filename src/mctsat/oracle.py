@@ -22,6 +22,11 @@ from .instances import Formula, ProblemClass
 
 @dataclass(frozen=True)
 class OracleResult:
+    """``brute_force``'s ground truth.  ``optimum`` is the best objective over
+    all 2^n assignments.  ``optimal_set`` holds every assignment that reaches
+    it, each a 0/1 tuple in variable order, sorted.  ``hard_feasible`` tells
+    whether some assignment satisfies every hard clause."""
+
     optimum: int
     optimal_set: tuple[tuple[int, ...], ...]
     hard_feasible: bool

@@ -41,6 +41,10 @@ class RewardKind(Enum):
 
 @dataclass(slots=True)
 class State:
+    """A state of the decision process.  ``tableaux`` holds the weights, the
+    coefficients and the partial assignment y; ``depth`` counts the variables
+    assigned so far, so a state is terminal at depth ``num_vars``."""
+
     tableaux: SatTableaux
     depth: int
 

@@ -456,46 +456,100 @@ class TestAlphaGridMode:
             assert 0.0 <= float(row[5]) <= 1.0
 
 
-# Runs each argv of the JSON list in argv[1] through ``main`` in one fresh
-# interpreter, then prints the exit codes and whether numpy was loaded.
-MODES_THEN_NUMPY = """
-import json, sys
+# Imports mctsat, notes which of the modules named in argv[2:] are loaded,
+# then runs each argv of the JSON list in argv[1] through ``main`` in the
+# same fresh interpreter and prints the exit codes and which of the named
+# modules are loaded after the runs.  json is imported only after the first
+# note, so it can be watched too.
+MODES_THEN_MODULES = """
+import sys
 import mctsat
+imported = [name for name in sys.argv[2:] if name in sys.modules]
+import json
 from mctsat.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+loaded = [name for name in sys.argv[2:] if name in sys.modules]
+print(json.dumps({"codes": codes, "imported": imported, "loaded": loaded}))
 """
 
 
-def modes_then_numpy(runs):
-    """(stdout lines of the modes, their exit codes, whether numpy loaded)."""
-    proc = run_python(["-c", MODES_THEN_NUMPY, json.dumps(runs)])
+def modes_then_modules(runs, modules):
+    """(stdout lines of the modes, their exit codes, the ``modules`` loaded
+    after ``import mctsat``, the ``modules`` loaded after the runs)."""
+    proc = run_python(["-c", MODES_THEN_MODULES, json.dumps(runs), *modules])
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
     summary = json.loads(last)
-    return lines, summary["codes"], summary["numpy"]
+    return lines, summary["codes"], summary["imported"], summary["loaded"]
+
+
+# the names ``import mctsat`` leaves to load on first use, with the modules
+# that define them; a submodule's name maps to the submodule
+LAZY_NAMES = {
+    "EnumerationReport": "mctsat.enumeration",
+    "enumerate_optima": "mctsat.enumeration",
+    "OracleResult": "mctsat.oracle",
+    "brute_force": "mctsat.oracle",
+    "CSV_COLUMNS": "mctsat.records",
+    "make_record": "mctsat.records",
+    "record_to_json": "mctsat.records",
+    "enumeration": "mctsat.enumeration",
+    "oracle": "mctsat.oracle",
+    "records": "mctsat.records",
+}
 
 
 class TestColdStart:
     """No mode needs numpy: importing the package and running all five modes
-    leave it unloaded.  The modes run in a fresh interpreter, since the test
-    process itself may hold numpy."""
+    leave it unloaded.  ``import mctsat`` leaves the enumerator, the oracle
+    and the records module unloaded, and a JSON solve the enumerator, the
+    oracle and the CSV writer.  The modes run in a fresh interpreter, since
+    the test process itself may hold any of them."""
 
     def test_five_modes_load_no_numpy(self):
         gen = "gen:n=6,m=14,count=2,seed=3"
-        lines, codes, numpy_loaded = modes_then_numpy(
+        lines, codes, _, loaded = modes_then_modules(
             [
                 [str(UF20_01), "--seed", "3"],
                 [gen, "--mode", "enumerate", "--executions", "2"],
                 [gen, "--mode", "oracle-check", "--explore-factor", "30"],
                 [gen, "--mode", "ablation", "--repeats", "1"],
                 ["gen:n=4,m=8", "--mode", "alpha-grid", "--repeats", "1"],
-            ]
+            ],
+            ["numpy"],
         )
+        numpy_loaded = loaded == ["numpy"]
         assert codes == [0, 0, 0, 0, 0]
         assert json.loads(lines[0])["objective"] == 91
         assert [json.loads(line)["alpha"] for line in lines[-11:]] == [i / 10 for i in range(11)]
         assert not numpy_loaded
+
+    def test_import_loads_no_enumerator_oracle_or_records(self):
+        watched = ["mctsat.enumeration", "mctsat.oracle", "mctsat.records", "json"]
+        _, codes, imported, _ = modes_then_modules([], watched)
+        assert codes == []
+        assert imported == []
+
+    def test_json_solve_loads_no_enumerator_oracle_or_csv(self):
+        watched = ["mctsat.enumeration", "mctsat.oracle", "csv"]
+        lines, codes, _, loaded = modes_then_modules([[str(UF20_01), "--seed", "3"]], watched)
+        assert codes == [0]
+        assert json.loads(lines[0])["objective"] == 91
+        assert loaded == []
+
+    @pytest.mark.parametrize("name", LAZY_NAMES)
+    def test_lazy_name_resolves_to_its_module_object(self, name, monkeypatch):
+        monkeypatch.delattr(mctsat, name)  # resolved again, as on first use
+        module = importlib.import_module(LAZY_NAMES[name])
+        expected = module if module.__name__ == f"mctsat.{name}" else vars(module)[name]
+        assert getattr(mctsat, name) is expected
+        assert vars(mctsat)[name] is expected  # cached: later uses skip the lookup
+
+    def test_dir_lists_every_exported_name_and_no_import_helper(self, monkeypatch):
+        for name in LAZY_NAMES:
+            monkeypatch.delattr(mctsat, name)  # as before first use
+        assert set(mctsat.__all__) <= set(dir(mctsat))
+        assert not hasattr(mctsat, "importlib")
 
 
 class TestPublicNames:
