@@ -16,7 +16,6 @@ from .blp import (
     ObjectiveResult,
     SatTableaux,
     UNASSIGNED,
-    format_blp,
     objective,
     objective_weights,
     satisfied_mask,
@@ -54,7 +53,6 @@ from .mcts import (
     soft_threshold,
     solve,
     theory_budgets,
-    uct_value,
 )
 from .rl import (
     Action,
@@ -103,7 +101,6 @@ __all__ = [
     "enumerate_optima",
     "exploration_arms",
     "exploration_eligible",
-    "format_blp",
     "generate_random",
     "make_record",
     "objective",
@@ -122,7 +119,6 @@ __all__ = [
     "solve",
     "theory_budgets",
     "to_blp",
-    "uct_value",
     "write_dimacs",
 ]
 

@@ -8,7 +8,7 @@ the weights as exact Python ints (an object array), so the sum is exact for
 any weight, with no int64 limit.
 
 numpy (the ``matrix`` extra) is imported only inside the functions that build
-or read this matrix view: ``to_blp``, ``satisfied_mask`` and ``format_blp``.
+or read this matrix view: ``to_blp`` and ``satisfied_mask``.
 The search and the oracle score on the clause-set format built here, without
 it: a clause set is an int with bit j for clause j.
 """
@@ -188,18 +188,3 @@ def objective(f: Formula, problem_class: ProblemClass, y) -> ObjectiveResult:
     value = sum(w for w, s in zip(weights, sat) if s)
     hard_violations = tuple(j for j, c in enumerate(f.clauses) if c.hard and not sat[j])
     return ObjectiveResult(value, tuple(sat), hard_violations)
-
-
-def format_blp(p: BlpProblem) -> str:
-    """Plain-text dump of (w, a_y, b), one clause row per line."""
-    import numpy as np
-
-    width = max(
-        (len(str(int(v))) for v in np.concatenate([p.w, p.b, p.a_y.ravel()])),
-        default=1,
-    )
-    lines = [f"{'w':>{width}} | {'a_y':^{(width + 1) * max(p.num_vars, 1)}}| b"]
-    for j in range(p.num_clauses):
-        row = " ".join(f"{int(v):>{width}}" for v in p.a_y[j])
-        lines.append(f"{int(p.w[j]):>{width}} | {row} | {int(p.b[j])}")
-    return "\n".join(lines) + "\n"

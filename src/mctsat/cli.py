@@ -13,8 +13,8 @@ instance, ablation one per instance and reward, alpha-grid one per instance
 and alpha.  enumerate gives one JSON object per instance, holding its distinct
 optima and discovery curve, but one CSV row per curve point.  CSV cells follow
 ``records.csv_cells``: sequences are space-joined, booleans are 0/1, and the
-float columns have fixed decimals: alpha 1, mean_objective and norm_objective
-6, wall_ms and mean_wall_ms 3.  JSON numbers are unpadded; the sweep means are
+float columns have the fixed decimals of ``records.CSV_DECIMALS``.  JSON rows
+are ``records.record_to_json``'s, with unpadded numbers; the sweep means are
 rounded to their CSV decimals, solve's wall_ms is not.
 
 Every mode takes the instances in file-name order, inputs of the same name
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -46,11 +45,8 @@ from .instances import (
     parse_dimacs,
 )
 from .mcts import ExploitRule, SolverConfig, derive_seed, solve
-from .records import CSV_COLUMNS, csv_cells, make_record
+from .records import CSV_COLUMNS, CSV_DECIMALS, csv_cells, make_record, record_to_json
 from .rl import RewardKind
-
-MODES = ("solve", "enumerate", "oracle-check", "ablation", "alpha-grid")
-CLASS_TOKENS = ("auto", "maxsat", "wmaxsat", "pms", "wpms")
 
 ENUM_COLUMNS = ("instance", "execution", "distinct_count")
 ORACLE_COLUMNS = ("instance", "class", "solver_objective", "oracle_optimum", "match")
@@ -92,24 +88,25 @@ def _count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    cfg = SolverConfig()  # the search knobs' defaults
     p = _Parser(prog="mctsat", description=__doc__.split("\n\n")[0])
     p.add_argument("inputs", nargs="+", help="DIMACS files or gen:... specs")
-    p.add_argument("--mode", choices=MODES, default="solve")
+    p.add_argument("--mode", choices=list(_MODE_RUNNERS), default="solve")
     p.add_argument(
         "--class",
         dest="problem_class",
-        choices=CLASS_TOKENS,
+        choices=["auto", *(c.value for c in ProblemClass)],
         default="auto",
         help="problem class override (auto = classify from the instance)",
     )
-    p.add_argument("--explore-factor", type=float, default=7.0)
-    p.add_argument("--alpha", type=float, default=0.9)
-    p.add_argument("--uct-c", type=float, default=1.0)
+    p.add_argument("--explore-factor", type=float, default=cfg.explore_factor)
+    p.add_argument("--alpha", type=float, default=cfg.alpha)
+    p.add_argument("--uct-c", type=float, default=cfg.uct_c)
+    p.add_argument("--reward", choices=[k.value for k in RewardKind], default=cfg.reward.value)
     p.add_argument(
-        "--reward", choices=[k.value for k in RewardKind], default="terminal"
+        "--exploit", choices=[r.value for r in ExploitRule], default=cfg.exploit_rule.value
     )
-    p.add_argument("--exploit", choices=[r.value for r in ExploitRule], default="mean")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument(
         "--executions",
         type=_count,
@@ -227,7 +224,7 @@ def _emit(args, columns, rows, csv_rows=lambda row: [row]) -> None:
         writer.writerows(csv_cells(line) for row in rows for line in csv_rows(row))
         payload = buf.getvalue()
     else:
-        payload = "".join(json.dumps(row) + "\n" for row in rows)
+        payload = "".join(record_to_json(row) + "\n" for row in rows)
     if args.out is None:
         sys.stdout.write(payload)
         return
@@ -325,12 +322,13 @@ def _sweep(instances, args, knob, values, columns) -> int:
         population = [v for _, objectives, _ in cells for v in objectives]
         norm = _iqr_normalizer(population) if "norm_objective" in columns else None
         for value, objectives, walls in cells:
-            means = [round(sum(objectives) / args.repeats, 6)]
+            sums = [sum(objectives), sum(walls)]
             if norm is not None:
-                means.append(round(sum(map(norm, objectives)) / args.repeats, 6))
-            means.append(round(sum(walls) / args.repeats, 3))
-            fields = (name, cls.value, value, args.repeats, *means)
-            rows.append(dict(zip(columns, fields)))
+                sums.insert(1, sum(map(norm, objectives)))
+            row = dict(zip(columns, (name, cls.value, value, args.repeats)))
+            for key, total in zip(columns[4:], sums):  # the means, at their CSV decimals
+                row[key] = round(total / args.repeats, CSV_DECIMALS[key])
+            rows.append(row)
     _emit(args, columns, rows)
     return 0
 

@@ -7,101 +7,12 @@ rest of its budget on arms drawn from the soft-max-relaxed UCT eligible set,
 commits the best arm, and the next level starts afresh from that state.
 
 The UCT value of an arm (UCB1) is mean + c * sqrt(2 ln N / v), with N the
-level's visits and v the arm's.  It is evaluated factored, as
-mean + s * rad with the per-call scalar s = c * sqrt(2 ln N) and the
-per-arm rad = 1 / sqrt(v).  Each arm's mean and rad are cached on the level
-and rewritten by ``backup``, or its inlined copy in ``solve``, for the one arm
-it touches.
-
-``exploration_eligible`` is the reference eligible set: every arm whose value
-reaches (1 - alpha) * min + alpha * max.  ``solve`` draws the same arms from
-``exploration_arms``, which evaluates only the arms that can decide a draw.
-It takes the draws in stretches of ``STRETCH``.  A stretch's s are c * r,
-with r = sqrt(2 ln t) read from a table that all solves share and that grows
-on demand, under a lock, so solves in threads cannot interleave its entries:
-the same floats as computed in place, with log and sqrt paid once per
-process.  r never decreases in t and IEEE multiplication is monotone, so
-the least and greatest s of a stretch, s_lo and s_hi, are its two end
-scales, the first one being s_lo when c >= 0 and s_hi when c < 0.  Each arm
-gets lower = mean + s_lo * rad and upper = mean + s_hi * rad.  IEEE rounding
-is monotone and rad > 0, so s_lo <= s <= s_hi gives
-lower <= mean + s * rad <= upper in floating point too, exactly.  The bounds
-hold for an arm until it is drawn, and only *hot* arms are drawn.  A draw
-evaluates each hot arm once, by the reference's expression, in the loop that
-finds their min and max or where the arm turns hot, into ``val``, a list
-indexed by arm and allocated once per call; a second loop appends the hot
-arms whose ``val`` reaches the threshold.  The exact min is found by
-scanning the arms in ascending lower until a lower exceeds it; then, while
-the greatest upper left cold reaches the threshold, that arm turns hot.
-Every cold arm is then below the threshold and below the hot max, so min,
-max, threshold and the eligible list (the hot arms that reach it, in index
-order) are the reference's, bit for bit.  The two orders are kept from one
-stretch to the next and re-sorted in place, which is cheap on nearly sorted
-lists; their tie order can then differ from a fresh sort's.  That can change
-which arms turn hot, never which are eligible: every arm with lower <= min
-is scanned whatever its place among equals, and every cold arm's value stays
-<= upper < threshold.  Backups only add visits, so the check that every arm
-has one is made once per call.  A longer stretch pays its set-up (two bound
-lists and two sorts of all arms) less often, a shorter one keeps its bounds
-tighter and so its hot set smaller.  CHANGES.md records the measurements
-behind ``val`` and ``STRETCH``.  ``solve`` writes each backed-up arm's rad
-from a table of 1 / sqrt(v) for v = 1 .. level 0's budget, built once per
-solve: level 0's budget bounds the visits of every arm at every level, and
-the table holds the very floats that ``backup`` computes.  The draw is
-CPython's rejection loop for ``randrange(size)`` (b = size.bit_length(),
-then j = getrandbits(b) until j < size), so the same ``getrandbits`` calls as
-the library; ``solve`` runs the same loop for each swap of ``shuffle``.
-
-Episodes are scored by ``EpisodeKernel``, built once per solve from the
-clause-set format of ``mctsat.blp`` that the oracle scores on too.
-Assignments are ints with bit v set when variable v + 1 is 1, clause sets
-ints with bit j for clause j, and ``lit[v][b]`` the clauses that v + 1 = b
-satisfies.  One ``union_table`` per byte of variables maps that byte of a
-full assignment to its satisfied set, so scoring takes ceil(n / 8) lookups,
-and ``wsum`` (``weight_sum``) gives a set's exact weight.  A shaped reward
-scores every step by its gain, the weight of the clauses the step newly
-satisfies, new = lit[v][b] & ~sat.  A gain depends on the set new alone, so
-``advance`` looks it up in the kernel's ``gains`` dict, keyed by new, and
-calls ``wsum`` only on a miss.  Each key is a subset of one literal's clause
-set, so the dict holds at most the sum of 2^|lit[v][b]| over the literals;
-it lives as long as the kernel, one solve.  Rewards are floats, so ``solve``
-refuses a total weight x (n + 1) x level budget past the largest float,
-which bounds every reward and every arm's reward sum; it blames the weights
-when the least budget, 2n + 1, already overflows, else explore_factor.  It
-also refuses a c whose largest bonus, added to the largest reward, would
-overflow a UCT value.
-
-A uniform rollout draws one of the 2(n - k) remaining actions per step, so
-each free variable ends up a fair bit, independent of the others and of the
-order of the draws.  The terminal reward depends on the final assignment
-only, so the terminal episode draws all free bits from one ``getrandbits``:
-the same distribution.  Shaped rewards depend on the order too, so a shaped
-episode draws the fair bits first, then a uniform order: the order in which
-``shuffle``'s swaps, from the last slot down, place the variables.
-
-``solve`` runs each episode inline, in its own frame, as it does the backup:
-the terminal episode is that one draw plus ``evaluate``, and the shaped
-episode is the shuffle and ``advance``'s walk in one pass over the arm's
-``rest`` list.  It draws the bits, then swaps slot i for
-i = width - 1 .. 0; a swap fixes the variable at ``rest[i]`` for good, so
-that variable is the walk's next step, scored and summed as ``advance``
-does.  The swap of slot 0 draws ``getrandbits(0)``, which is 0 and consumes
-no RNG state, so one loop covers every step.  Every episode of a level has
-one length, so each level builds once a ``plan`` of the steps' slots, draw
-widths and coefficients.  The tests hold ``solve`` to plain versions of both
-episodes (``tests/mctsat_reference.py``), with the same RNG calls and the
-same float expressions, so the same rewards.  Each level builds its arm
-table once, as parallel lists indexed by arm: the child's assignment
-(``ys``) and free variables as a bitset (``masks``), and for shaped rewards
-its ``rest`` list and its one-step start point as the unsatisfied clauses,
-value and reward sum (``unsats``, ``values``, ``totals``), so an episode
-indexes lists instead of unpacking a tuple.  A ``rest`` list holds one
-(lit[u][0], lit[u][1], u) triple per free variable u, and a walk step reads
-its clause set as ``triple[bit]``, one subscript instead of two.  A
-variable's two arms share one ``rest`` list: each shuffle starts from the
-order the last one left, so the sharing is part of the RNG results.  The
-next level's free variables and each arm's bitset follow from the committed
-variable, with no re-sort.
+level's visits and v the arm's, evaluated as mean + s * rad with the per-call
+scalar s = c * sqrt(2 ln N) and the arm's cached rad = 1 / sqrt(v).
+``exploration_eligible`` is the reference eligible set; ``solve`` draws the
+same arms from ``exploration_arms``, which evaluates only the arms that can
+decide a draw.  Episodes are scored by ``EpisodeKernel``; ``solve`` runs
+them, and their backups, inline.
 """
 
 from __future__ import annotations
@@ -219,16 +130,6 @@ class SolveResult:
     level_roots: tuple[LevelStats, ...]
 
 
-def uct_value(level: LevelStats, arm: int, c: float) -> float:
-    """Mean reward plus the exploration bonus c * sqrt(2 ln N_level / N_arm),
-    evaluated as mean + (c * sqrt(2 ln N_level)) * rad from the arm's cached
-    mean and rad, as ``exploration_eligible`` evaluates it."""
-    if level.visits[arm] < 1 or level.total < 1:
-        raise ValueError("uct_value requires visits on both the level and the arm")
-    s = c * math.sqrt(2.0 * math.log(level.total))
-    return level.mean[arm] + s * level.rad[arm]
-
-
 def soft_threshold(values, alpha: float) -> float:
     """(1 - alpha) * min + alpha * max of a non-empty value list, clamped
     to the max."""
@@ -244,8 +145,8 @@ def soft_threshold(values, alpha: float) -> float:
 
 
 def exploration_eligible(level: LevelStats, cfg: SolverConfig) -> list[int]:
-    """Arms whose UCT value (as ``uct_value``) reaches the soft threshold.
-    Every arm must have a visit, and every value must be finite."""
+    """Arms whose UCT value reaches the soft threshold.  Every arm must have
+    a visit, and every value must be finite."""
     if not level.visits:
         raise ValueError("level has no arms")
     if math.inf in level.rad:
@@ -274,15 +175,29 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     would draw at that point, from the same RNG calls.  The caller must
     ``backup`` each yielded arm before asking for the next.
 
-    Each arm's value is bounded per stretch and computed only when its
-    bounds can decide the draw.  Per call it checks once that every arm has
-    a visit and computes 1 - alpha once; per stretch it takes s_lo and s_hi
-    from the stretch's two end scales and re-sorts the arms by lower and by
-    upper bound in place, starting from the previous stretch's orders, whose
-    tie order cannot change the eligible list (see the module docstring).
-    Per draw it evaluates each hot arm once, writing the value into a list
-    indexed by arm that the call allocates once; the eligible loop reads it
-    back (CHANGES.md records what a fresh value list per draw cost).  Like
+    The draws come in stretches of ``STRETCH``.  A stretch's scales are
+    s = c * r, r = sqrt(2 ln t); r never decreases in t and IEEE
+    multiplication is monotone, so the stretch's least and greatest s, s_lo
+    and s_hi, are its two end scales.  Each arm gets lower = mean + s_lo * rad
+    and upper = mean + s_hi * rad; IEEE rounding is monotone and rad > 0, so
+    lower <= mean + s * rad <= upper holds in floating point too, exactly.
+    The bounds hold for an arm until it is drawn, and only *hot* arms are
+    drawn.  A draw evaluates each hot arm once, by the reference's
+    expression, into ``val``.  It finds the exact min by scanning the arms in
+    ascending lower until a lower exceeds it; then, while the greatest upper
+    left cold reaches the threshold, that arm turns hot.  Every cold arm is
+    then below the threshold and the hot max, so min, max, threshold and the
+    eligible list (the hot arms that reach it, in index order) are the
+    reference's, bit for bit.
+
+    Both orders are kept from one stretch to the next and re-sorted in place,
+    which is cheap on nearly sorted lists; their tie order can then differ
+    from a fresh sort's.  That can change which arms turn hot, never which
+    are eligible: every arm with lower <= min is scanned whatever its place
+    among equals, and every cold arm's value stays <= upper < threshold.  A
+    longer stretch pays its set-up (two bound lists and two sorts) less
+    often, a shorter one keeps its bounds tighter and its hot set smaller;
+    CHANGES.md records the measurements behind ``val`` and ``STRETCH``.  Like
     ``exploration_eligible``, it raises a ValueError when a stretch's scale
     or bounds are not finite.
     """
@@ -300,20 +215,20 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     beta = 1.0 - alpha
     getrandbits = rng.getrandbits
     by_lower, by_upper = list(range(k)), list(range(k))  # re-sorted per stretch
-    val = [0.0] * k  # val[a]: hot arm a's value at the current draw
+    val = [0.0] * k  # val[a]: hot arm a's value at the current draw; one list per call
     while episodes > 0:
         n = min(episodes, STRETCH)
         episodes -= n
         stop = total + n
         if len(_ROOT_2_LOG) < stop:
             # solves in threads share the table: re-read its length under the
-            # lock and append finished entries in one call
+            # lock and append finished entries in one call.  An entry is the
+            # float sqrt(2 ln t) computed in place, paid once per process
             with _ROOT_2_LOG_LOCK:
                 start = len(_ROOT_2_LOG)
                 _ROOT_2_LOG.extend([math.sqrt(2.0 * math.log(t)) for t in range(start, stop)])
         ss = [c * r for r in _ROOT_2_LOG[total:stop]]
         total = stop
-        # r never decreases along the stretch, so c * r is monotone
         s_lo, s_hi = (ss[0], ss[-1]) if c >= 0 else (ss[-1], ss[0])
         lower = [m + s_lo * r for m, r in zip(mean, rad)]
         upper = [m + s_hi * r for m, r in zip(mean, rad)]
@@ -359,7 +274,9 @@ def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
                     eligible.append(a)
             size = len(eligible)
             bits = size.bit_length()
-            j = getrandbits(bits)  # rng.randrange(size), call for call
+            # rng.randrange(size), call for call: CPython's rejection loop
+            # draws getrandbits(size.bit_length()) until it is below size
+            j = getrandbits(bits)
             while j >= size:
                 j = getrandbits(bits)
             yield eligible[j]
@@ -498,9 +415,12 @@ def derive_seed(base: int, *path: int) -> int:
 
 
 class EpisodeKernel:
-    """Exact episode scoring of one (formula, class) pair on int bitsets.
+    """Exact episode scoring of one (formula, class) pair on int bitsets:
+    an assignment has bit v set when variable v + 1 is 1, a clause set bit j
+    for clause j, and ``lit[v][b]`` is the set that v + 1 = b satisfies.
 
-    ``evaluate`` scores a full assignment.  ``advance`` extends a partial
+    ``evaluate`` scores a full assignment in ceil(n / 8) lookups, one
+    ``union_table`` per byte of variables.  ``advance`` extends a partial
     episode, the point (steps, satisfied set, value, total), where ``total``
     sums ``EpisodeScorer.score``'s r1 or r2 terms in its order and with its
     float expressions; so an episode walked from depth 0 gets the reference
@@ -512,9 +432,10 @@ class EpisodeKernel:
     start point.
 
     ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
-    keyed by that set.  ``advance`` fills and reads it; a hit is the exact
-    int ``wsum`` computed for the same key.  Every key is a subset of one
-    ``lit[v][b]``, which bounds the dict by the sum of 2^|lit[v][b]|.
+    keyed by that set, on which alone a step's gain depends.  ``advance``
+    fills and reads it; a hit is the exact int ``wsum`` computed for the same
+    key.  Every key is a subset of one ``lit[v][b]``, which bounds the dict
+    by the sum of 2^|lit[v][b]|.
     """
 
     START = (0, 0, 0, 0.0)
@@ -567,8 +488,19 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     better assignment, in which case that incumbent wins; keeping the path on
     ties preserves the randomized tie-breaking that multi-optimum enumeration
     relies on.  Deterministic for a fixed seed.  Refuses weights too large
-    for float rewards, and knobs whose float arithmetic would overflow (see
-    the module docstring), with a ValueError.
+    for float rewards, and knobs whose float arithmetic would overflow, with a
+    ValueError.
+
+    Each episode runs inline.  A uniform rollout draws one of the 2(n - k)
+    remaining actions per step, so each free variable ends up a fair bit,
+    independent of the others and of the order of the draws.  The terminal
+    reward depends on the final assignment only, so a terminal episode draws
+    all free bits from one ``getrandbits``: the same distribution.  Shaped
+    rewards depend on the order too, so a shaped episode draws the fair bits
+    first, then a uniform order: the order in which ``shuffle``'s swaps, from
+    the last slot down, place the variables.  The tests hold both episodes
+    to plain versions (``tests/mctsat_reference.py``) with the same RNG calls
+    and the same float expressions, so the same rewards.
     """
     n, m = f.num_vars, f.num_clauses
     if not 0.0 <= cfg.alpha <= 1.0:
@@ -622,13 +554,17 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     # bounds them all, and the floats are backup's own
     inv_sqrt = [math.inf] + [1.0 / math.sqrt(v) for v in range(1, budget0 + 1)]
     lit, gains, coef = kernel.lit, kernel.gains, kernel.coef
-    triples = [(off, on, u) for u, (off, on) in enumerate(lit)]  # rest lists' items
+    # rest lists' items: a walk step reads its clause set as triple[bit]
+    triples = [(off, on, u) for u, (off, on) in enumerate(lit)]
     getrandbits = rng.getrandbits
     t0 = time.perf_counter()
 
     while free:
-        # the arm table (see the module docstring); arm 2i + bit gives free[i]
-        # the value bit, and a variable's two arms share one rest list
+        # the arm table, parallel lists indexed by arm; arm 2i + bit gives free[i]
+        # the value bit.  ys: the child's assignment; masks: its free variables;
+        # for shaped rewards its rest list and its one-step start point.  A
+        # variable's two arms share one rest list, so each shuffle starts from the
+        # order the last one left: the sharing is part of the RNG results
         ys, masks, rests, unsats, values, totals = [], [], [], [], [], []
         for v in free:
             rest_mask = free_mask ^ 1 << v
@@ -644,7 +580,9 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                     values.append(value)
                     totals.append(total)
         # one plan for every arm's walk, all of one length: per step, the slot i its
-        # swap fills, the bits of that draw (none at i = 0) and the step's coefficient
+        # swap fills, the bits of that draw and the step's coefficient.  Slot 0,
+        # which shuffle leaves, draws getrandbits(0): 0, taking no RNG state, so
+        # one loop covers every step
         width = len(free) - 1
         if shaped:
             plan = [(i, i and (i + 1).bit_length(), coef[n - i]) for i in range(width - 1, -1, -1)]
@@ -662,7 +600,9 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
                 # the shuffle of rest and advance's walk in one pass: each
                 # swap places a variable for good, and advance's walk scores it at
                 # once; each step follows the arm's own, so r1 counts every gain.
-                # It keeps the unsatisfied clauses: & with the negative ~sat is slower
+                # Each swap makes the getrandbits calls of shuffle's swap of slot
+                # i, the same rejection loop for a draw below i + 1.  It keeps the
+                # unsatisfied clauses: & with the negative ~sat is slower
                 unsat, value, total = unsats[arm], values[arm], totals[arm]
                 for i, size, cf in plan:
                     j = getrandbits(size)

@@ -5,18 +5,20 @@ format of ``mctsat.blp`` that the search scores on too.  The variables are
 split in two halves (Horowitz & Sahni's meet in the middle, 1974):
 ``union_table`` gives the 2^h satisfied sets of each half, indexed by its
 bits, and the assignment with high index i and low index k satisfies
-``hi[i] | lo[k]``, whose value is its ``weight_sum``.  The class weight rules
-are the oracle's own, read off the clauses here.  Two references stay
-independent of the shared format: ``naive_sweep`` in tests/test_oracle.py
-scores every assignment through ``blp.objective``, which walks the clause
-literals, and perfbench/reference.py runs its own vectorised enumeration.
+``hi[i] | lo[k]``, whose value is its ``weight_sum`` under the class weights
+of ``blp.objective_weights``; unlike the search, the oracle does not require
+hard weights to dominate.  Independent checks: ``naive_sweep`` in
+tests/test_oracle.py scores every assignment through ``blp.objective``, which
+walks the clause literals; perfbench/reference.py runs its own vectorised
+enumeration with its own ``class_weights``; and ``TestWeightRules`` in
+tests/test_blp.py pins the rules themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blp import literal_sets, union_table, weight_sum
+from .blp import literal_sets, objective_weights, union_table, weight_sum
 from .instances import Formula, ProblemClass
 
 
@@ -42,18 +44,11 @@ def brute_force(
     if n > max_vars:
         raise ValueError(f"{n} variables exceed the enumeration guard {max_vars}")
 
-    if problem_class is ProblemClass.MAXSAT:
-        weights = [1] * f.num_clauses
-    elif problem_class is ProblemClass.PARTIAL_MAXSAT:
-        weights = [c.weight if c.hard else 1 for c in f.clauses]
-    else:
-        weights = [c.weight for c in f.clauses]
-
     sets = literal_sets(f)
     hard = sum(1 << j for j, clause in enumerate(f.clauses) if clause.hard)
     h = n // 2
     lo, hi = union_table(sets[:h]), union_table(sets[h:])
-    value = weight_sum(weights)
+    value = weight_sum(objective_weights(f, problem_class))
 
     best, best_masks, hard_feasible = -1, [], False
     for i, hs in enumerate(hi):

@@ -1,6 +1,6 @@
 """Solve-result records: a solve's row is a dict keyed by ``CSV_COLUMNS``,
 the one place that knows their order, written as one JSON object or one CSV
-line.  Also the CSV cell rule of every CLI row."""
+line.  Also the JSON encoding and the CSV cell rule of every CLI row."""
 
 from __future__ import annotations
 
@@ -52,7 +52,8 @@ def make_record(
 
 
 def record_to_json(record: dict) -> str:
-    """One JSON object; keys are CSV_COLUMNS, in their order."""
+    """A row dict as one JSON object, its keys in their order: a solve's
+    record, or any other CLI row."""
     return json.dumps(record)
 
 

@@ -5,11 +5,12 @@ versions it is held to, with the same RNG calls and the same float
 expressions: ``uniform_completion`` and ``evaluate`` make the terminal
 episode, ``shuffled_completion`` and ``shaped`` the shaped one.
 ``TestReferenceSearch`` in ``test_mcts.py`` rebuilds the search from them.
-The rest completes the decision-process view of ``mctsat.rl`` (the depth-0
-state, the terminal test, the reward of one episode) and inverts
-``records.record_to_json``.
+``uct_value`` is one arm's UCT value, as ``exploration_eligible`` evaluates
+it, and ``format_blp`` a text dump of the matrix view.  The rest completes
+the decision-process view of ``mctsat.rl`` (the depth-0 state, the terminal
+test, the reward of one episode) and inverts ``records.record_to_json``.
 
-``mctsat.mcts``'s module docstring says why the one-draw completion and the
+``mctsat.mcts.solve``'s docstring says why the one-draw completion and the
 bits-then-shuffle order are a uniform rollout's distributions.
 
 The module is named apart from perfbench's ``reference``: perfbench's tests
@@ -20,6 +21,7 @@ directories, imports a module name only once.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from mctsat import (
     Episode,
     EpisodeScorer,
     Formula,
+    LevelStats,
     ProblemClass,
     RewardKind,
     SatTableaux,
@@ -66,6 +69,29 @@ def shaped(
     if kind is RewardKind.MIXED:
         return 0.5 * total + 0.5 * float(value), value
     return total, value
+
+
+def uct_value(level: LevelStats, arm: int, c: float) -> float:
+    """Mean reward plus the exploration bonus c * sqrt(2 ln N_level / N_arm),
+    evaluated as mean + (c * sqrt(2 ln N_level)) * rad from the arm's cached
+    mean and rad, as ``exploration_eligible`` evaluates it."""
+    if level.visits[arm] < 1 or level.total < 1:
+        raise ValueError("uct_value requires visits on both the level and the arm")
+    s = c * math.sqrt(2.0 * math.log(level.total))
+    return level.mean[arm] + s * level.rad[arm]
+
+
+def format_blp(p: BlpProblem) -> str:
+    """Plain-text dump of (w, a_y, b), one clause row per line."""
+    width = max(
+        (len(str(int(v))) for v in np.concatenate([p.w, p.b, p.a_y.ravel()])),
+        default=1,
+    )
+    lines = [f"{'w':>{width}} | {'a_y':^{(width + 1) * max(p.num_vars, 1)}}| b"]
+    for j in range(p.num_clauses):
+        row = " ".join(f"{int(v):>{width}}" for v in p.a_y[j])
+        lines.append(f"{int(p.w[j]):>{width}} | {row} | {int(p.b[j])}")
+    return "\n".join(lines) + "\n"
 
 
 def to_tableaux(p: BlpProblem) -> SatTableaux:

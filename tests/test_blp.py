@@ -14,7 +14,6 @@ from mctsat import (
     Literal,
     ProblemClass,
     classify,
-    format_blp,
     generate_random,
     objective,
     objective_weights,
@@ -24,7 +23,7 @@ from mctsat import (
     to_blp,
     UNASSIGNED,
 )
-from mctsat_reference import to_tableaux
+from mctsat_reference import format_blp, to_tableaux
 
 
 def lit(code):

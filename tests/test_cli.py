@@ -14,7 +14,7 @@ import pytest
 
 import mctsat
 import mctsat_reference
-from mctsat.cli import main
+from mctsat.cli import _config, build_parser, main
 
 TIME_COLUMNS = {"wall_ms", "mean_wall_ms"}
 UF20_01 = Path(__file__).parent / "data" / "uf20" / "uf20-01.cnf"
@@ -100,12 +100,21 @@ class TestSolveMode:
         assert record["class"] == "maxsat"
         assert record["objective"] == 1
 
+    @pytest.mark.parametrize("token", ["maxsat", "wmaxsat", "pms", "wpms"])
+    def test_every_class_token_solves(self, capsys, token):
+        assert run_cli(["gen:n=5,m=12,weighted,hard=2,seed=4", "--class", token]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == token
+
+    def test_knob_defaults_are_solver_configs(self):
+        assert _config(build_parser().parse_args(["x.cnf"]), 7) == mctsat.SolverConfig(seed=7)
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["gen:n=2,m=2", "--mode", "nonsense"])
-        assert err.value.code == 1
+        for flag, value in [("--mode", "nonsense"), ("--class", "sat")]:
+            with pytest.raises(SystemExit) as err:
+                run_cli(["gen:n=2,m=2", flag, value])
+            assert err.value.code == 1
 
     def test_bad_generator_spec_is_1(self, capsys):
         assert run_cli(["gen:n=2"]) == 1

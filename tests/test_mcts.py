@@ -36,11 +36,10 @@ from mctsat import (
     soft_threshold,
     solve,
     theory_budgets,
-    uct_value,
 )
 from mctsat import mcts
 from mctsat.mcts import EpisodeKernel
-from mctsat_reference import shaped, shuffled_completion, uniform_completion
+from mctsat_reference import shaped, shuffled_completion, uct_value, uniform_completion
 
 
 def make_root(child_stats, parent_visits=None):
