@@ -16,10 +16,15 @@ writes the header dialect, which reads back to the same ``Formula``.
 
 ``generate_random`` repeats inline the ``getrandbits`` and ``random`` calls
 of CPython's ``Random.sample``, ``random`` and ``randint``, so a seed gives the
-same formula as those calls did, on every supported Python version.  Where
-n is above ``sample``'s pool size, it builds a variable's two ``Literal``s when
-a clause first draws it, so a call over many variables and few clauses builds
-only the literals it uses.
+same formula as those calls did, on every supported Python version.
+
+Formulas share frozen ``Literal``s.  A table built at import holds the 64
+literals of variables 1..32, and no call adds to it.  The parser's per-call
+map from DIMACS code to ``Literal`` starts as a copy of the table's.
+``generate_random``'s pool branch takes the pairs of v <= 32 from the table
+and builds those beyond it; the rejection branch keeps its per-call dict and
+builds a variable's pair when a clause first draws it, so a call over many
+variables and few clauses builds only the literals it uses.
 """
 
 from __future__ import annotations
@@ -47,16 +52,23 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Literal:
-    """A variable (1-based index) or its negation."""
+    """A variable (1-based index) or its negation.
+
+    Validation lives in ``__init__``, which refuses an index below 1.  Like
+    ``Clause``'s, it writes the slots directly, cheaper than a generated
+    frozen ``__init__`` and ``__post_init__``.
+    """
 
     var: int
     negated: bool = False
 
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
+    def __init__(self, var: int, negated: bool = False):
+        if var < 1:
+            raise ValueError(f"variable index must be >= 1, got {var}")
+        _set_var(self, var)
+        _set_negated(self, negated)
 
     @classmethod
     def from_dimacs(cls, code: int) -> "Literal":
@@ -68,22 +80,37 @@ class Literal:
         return -self.var if self.negated else self.var
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Clause:
     """Disjunction of literals with a non-negative weight.
 
     Duplicate and complementary literals are preserved as written.
+    Validation lives in ``__init__``, which refuses an empty clause and a
+    negative weight.
     """
 
     literals: tuple[Literal, ...]
     weight: int = 1
     hard: bool = False
 
-    def __post_init__(self):
-        if not self.literals:
+    def __init__(self, literals: tuple[Literal, ...], weight: int = 1, hard: bool = False):
+        if not literals:
             raise ValueError("clause must contain at least one literal")
-        if self.weight < 0:
-            raise ValueError(f"clause weight must be non-negative, got {self.weight}")
+        if weight < 0:
+            raise ValueError(f"clause weight must be non-negative, got {weight}")
+        _set_literals(self, literals)
+        _set_weight(self, weight)
+        _set_hard(self, hard)
+
+
+# the slot setters that the __init__s write the frozen fields with
+_set_var, _set_negated = Literal.var.__set__, Literal.negated.__set__
+_set_literals, _set_weight = Clause.literals.__set__, Clause.weight.__set__
+_set_hard = Clause.hard.__set__
+
+# (Literal(v), Literal(v, True)) at index v - 1, for v = 1..32; never grows
+_LITERAL_PAIRS = tuple((Literal(v), Literal(v, True)) for v in range(1, 33))
+_LITERAL_CODES = {lit.to_dimacs(): lit for pair in _LITERAL_PAIRS for lit in pair}
 
 
 @dataclass(frozen=True)
@@ -194,7 +221,7 @@ def _parse(tokens: list[tuple[str, int]], kind: str) -> Formula:
     rows: list[tuple[tuple[Literal, ...], int | str]] = []  # weight "h": hard, headerless
     weight = unread
     lits: list[Literal] = []
-    shared: dict[int, Literal] = {}  # one Literal per DIMACS code
+    shared = dict(_LITERAL_CODES)  # one Literal per DIMACS code, the table's first
     last_line = tokens[body - 1][1] if body else tokens[0][1]
     for pos in range(body, len(tokens)):
         tok, line = tokens[pos]
@@ -318,8 +345,9 @@ def generate_random(
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     shapes = []
     if n <= setsize:
-        signs = [(Literal(v), Literal(v, True)) for v in range(1, n + 1)]  # shared per variable
-        base = list(range(n))
+        # the pool holds each variable's pair: the table's, then any beyond it
+        beyond = range(len(_LITERAL_PAIRS) + 1, n + 1)
+        base = [*_LITERAL_PAIRS[:n], *[(Literal(v), Literal(v, True)) for v in beyond]]
         draws = [(size, size.bit_length(), size - 1) for size in range(n, n - k, -1)]
         for _ in range(m):
             pool = base[:]
@@ -330,7 +358,10 @@ def generate_random(
                     j = getrandbits(bits)
                 chosen.append(pool[j])
                 pool[j] = pool[last]
-            shapes.append(tuple([signs[v][rand() < 0.5] for v in chosen]))
+            lits = []
+            for pair in chosen:
+                lits.append(pair[rand() < 0.5])
+            shapes.append(tuple(lits))
     else:
         signs = {}  # the pairs of the variables drawn; n may be far above them
         bits = n.bit_length()
@@ -343,7 +374,10 @@ def generate_random(
                 chosen[j] = None
                 if j not in signs:
                     signs[j] = (Literal(j + 1), Literal(j + 1, True))
-            shapes.append(tuple([signs[v][rand() < 0.5] for v in chosen]))
+            lits = []
+            for v in chosen:
+                lits.append(signs[v][rand() < 0.5])
+            shapes.append(tuple(lits))
     soft_count = m - hard_count
     if weighted:
         soft_weights = []
@@ -355,13 +389,9 @@ def generate_random(
     else:
         soft_weights = [1] * soft_count
     top = sum(soft_weights) + 1 if hard_count else None
-    clauses = []
-    for i, lits in enumerate(shapes):
-        if i < hard_count:
-            clauses.append(Clause(lits, top, True))
-        else:
-            clauses.append(Clause(lits, soft_weights[i - hard_count], False))
-    return Formula(n, tuple(clauses), top_weight=top)
+    hard = [Clause(lits, top, True) for lits in shapes[:hard_count]]
+    soft = [Clause(lits, w) for lits, w in zip(shapes[hard_count:], soft_weights)]
+    return Formula(n, (*hard, *soft), top_weight=top)
 
 
 def write_dimacs(f: Formula) -> str:

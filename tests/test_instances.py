@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from mctsat import (
     classify,
     derive_seed,
     generate_random,
+    instances,
     parse_cnf,
     parse_dimacs,
     parse_wcnf,
@@ -453,6 +455,90 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="beyond num_vars"):
             dataclasses.replace(f, num_vars=1)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda: Literal(0), "variable index must be >= 1, got 0", id="literal-zero"),
+            pytest.param(lambda: Literal(-3), "variable index must be >= 1, got -3", id="literal-negative"),
+            pytest.param(
+                lambda: Literal(var=0, negated=True), "variable index must be >= 1, got 0",
+                id="literal-keyword",
+            ),
+            pytest.param(
+                lambda: dataclasses.replace(Literal(2), var=-3), "variable index must be >= 1, got -3",
+                id="literal-replace",
+            ),
+            pytest.param(lambda: Clause(()), "clause must contain at least one literal", id="clause-empty"),
+            pytest.param(
+                lambda: Clause(literals=(), weight=2), "clause must contain at least one literal",
+                id="clause-empty-keyword",
+            ),
+            pytest.param(
+                lambda: dataclasses.replace(Clause((lit(1),)), literals=()),
+                "clause must contain at least one literal",
+                id="clause-empty-replace",
+            ),
+            pytest.param(
+                lambda: Clause((lit(1),), -1), "clause weight must be non-negative, got -1",
+                id="clause-weight",
+            ),
+            pytest.param(
+                lambda: Clause(literals=(lit(1),), weight=-2, hard=True),
+                "clause weight must be non-negative, got -2",
+                id="clause-weight-keyword",
+            ),
+            pytest.param(
+                lambda: dataclasses.replace(Clause((lit(1),)), weight=-1),
+                "clause weight must be non-negative, got -1",
+                id="clause-weight-replace",
+            ),
+            pytest.param(lambda: Formula(-1, ()), "num_vars must be non-negative", id="formula-num-vars"),
+            pytest.param(
+                lambda: Formula(num_vars=-1, clauses=()), "num_vars must be non-negative",
+                id="formula-num-vars-keyword",
+            ),
+            pytest.param(
+                lambda: dataclasses.replace(Formula(1, ()), num_vars=-1), "num_vars must be non-negative",
+                id="formula-num-vars-replace",
+            ),
+            pytest.param(
+                lambda: Formula(1, (Clause((lit(1),), 1, True),)),
+                "clause 0 is hard but no top weight is set",
+                id="formula-hard-no-top",
+            ),
+            pytest.param(
+                lambda: Formula(num_vars=1, clauses=(Clause((lit(1),)), Clause((lit(1),), 3, True))),
+                "clause 1 is hard but no top weight is set",
+                id="formula-hard-no-top-keyword",
+            ),
+            pytest.param(
+                lambda: dataclasses.replace(Formula(1, (Clause((lit(1),), 3, True),), 3), top_weight=None),
+                "clause 0 is hard but no top weight is set",
+                id="formula-hard-no-top-replace",
+            ),
+            pytest.param(
+                lambda: Formula(1, (Clause((lit(1),), 2, True),), 3),
+                "clause 0: hard flag must match weight == top_weight",
+                id="formula-hard-flag",
+            ),
+            pytest.param(
+                lambda: Formula(num_vars=1, clauses=(Clause((lit(1),), 3),), top_weight=3),
+                "clause 0: hard flag must match weight == top_weight",
+                id="formula-hard-flag-keyword",
+            ),
+            pytest.param(
+                lambda: dataclasses.replace(Formula(1, (Clause((lit(1),), 3, True),), 3), top_weight=5),
+                "clause 0: hard flag must match weight == top_weight",
+                id="formula-hard-flag-replace",
+            ),
+        ],
+    )
+    def test_refusals(self, make, message):
+        """Every refusal of the three constructors, by position, by keyword
+        and through dataclasses.replace, with its exact message."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_differ_by_any_field(self):
         assert Literal(3, True) != Literal(3) and Literal(3) != Literal(4)
         assert Clause((Literal(1),), 2) != Clause((Literal(1),), 3)
@@ -468,6 +554,56 @@ class TestValueTypes:
             "Formula(num_vars=1, clauses=(Clause(literals=(Literal(var=1, negated=False),), "
             "weight=3, hard=True),), top_weight=3)"
         )
+
+
+def fresh_copy(f):
+    """``f`` rebuilt from newly made Literal objects."""
+    clauses = tuple(
+        Clause(tuple(Literal(l.var, l.negated) for l in c.literals), c.weight, c.hard)
+        for c in f.clauses
+    )
+    return Formula(f.num_vars, clauses, f.top_weight)
+
+
+def literals_by_code(f):
+    return {l.to_dimacs(): l for c in f.clauses for l in c.literals}
+
+
+class TestSharedLiterals:
+    """The parser, and generate_random while n is at most sample's pool
+    size, take the literals of variables 1..32 from one table built at
+    import.  The sharing cannot be seen through a formula's value, and no
+    call grows the table."""
+
+    def test_copy_from_fresh_literals_is_the_same_value(self, uf20_texts):
+        for f in (generate_random(14, 50, 3, True, 2, seed=5), parse_dimacs(uf20_texts[0])):
+            clone = fresh_copy(f)
+            assert clone.clauses[0].literals[0] is not f.clauses[0].literals[0]
+            assert clone == f and hash(clone) == hash(f)
+            assert pickle.loads(pickle.dumps(clone)) == f
+            assert pickle.loads(pickle.dumps(f)) == clone
+
+    def test_no_call_grows_the_table(self):
+        pairs, codes = instances._LITERAL_PAIRS, instances._LITERAL_CODES
+        assert (len(pairs), len(codes)) == (32, 64)
+        generate_random(10**5, 2, 3, seed=11)
+        generate_random(40, 30, 6, seed=3)  # the pool branch above the table
+        parse_dimacs(write_dimacs(generate_random(100, 430, 3, seed=4)))
+        assert instances._LITERAL_PAIRS is pairs and instances._LITERAL_CODES is codes
+        assert (len(pairs), len(codes)) == (32, 64)
+
+    def test_formulas_share_the_literals_of_the_table(self, uf20_texts):
+        a = literals_by_code(generate_random(14, 50, 3, seed=1))
+        b = literals_by_code(generate_random(21, 90, 3, seed=2))
+        parsed = literals_by_code(parse_dimacs(uf20_texts[0]))
+        assert len(a.keys() & b.keys()) == 28
+        assert all(a[code] is b[code] is parsed[code] for code in a.keys() & b.keys())
+        # above variable 32 each call builds its own
+        c = literals_by_code(generate_random(40, 60, 6, seed=1))
+        d = literals_by_code(generate_random(40, 60, 6, seed=2))
+        common = c.keys() & d.keys()
+        assert all((c[code] is d[code]) == (abs(code) <= 32) for code in common)
+        assert any(abs(code) > 32 for code in common)
 
 
 class TestRoundTrip:
