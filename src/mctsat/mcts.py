@@ -9,10 +9,10 @@ commits the best arm, and the next level starts afresh from that state.
 The UCT value of an arm (UCB1) is mean + c * sqrt(2 ln N / v), with N the
 level's visits and v the arm's, evaluated as mean + s * rad with the per-call
 scalar s = c * sqrt(2 ln N) and the arm's cached rad = 1 / sqrt(v).
-``exploration_eligible`` is the reference eligible set; ``solve`` draws the
-same arms from ``exploration_arms``, which evaluates only the arms that can
-decide a draw.  Episodes are scored by ``EpisodeKernel``; ``solve`` runs
-them, and their backups, inline.
+``exploration_eligible`` is the reference eligible set; ``search_level``, one
+call per level, draws the same arms from ``exploration_arms``, which evaluates
+only the arms that can decide a draw; it runs the episodes, scored by
+``EpisodeKernel``, and their backups inline.
 """
 
 from __future__ import annotations
@@ -59,19 +59,19 @@ class LevelStats:
     """One level's bandit: per-arm visit counts, reward sums and reward
     extremes in ``actions`` order, plus the level's total visit count.
 
-    ``backup`` keeps ``total`` equal to the sum of ``visits``.  ``solve``
-    writes it twice per level instead: the arm count before expansion, which
-    ``exploration_arms`` reads at its first draw, after expansion, and the
-    budget after exploration.  Between the two it runs ahead of the sum; in
-    every snapshot that ``solve`` returns, it equals it.
+    ``backup`` keeps ``total`` equal to the sum of ``visits``.
+    ``search_level`` writes it twice instead: the arm count before expansion,
+    which ``exploration_arms`` reads at its first draw, after expansion, and
+    the budget after exploration.  Between the two it runs ahead of the sum;
+    in every snapshot that ``search_level`` returns, it equals it.
 
     ``mean`` (q_sum / visits) and ``rad`` (1 / sqrt(visits)) cache each arm's
     part of its UCT value; an unvisited arm holds inf in both, so its UCT
     value is inf, which the selection rules refuse.  They are derived from
     the other lists on construction, and afterwards written only by
-    ``backup`` and by ``solve``'s inlined copy of it, which reads rad from
-    its per-solve 1 / sqrt(v) table (the same floats): writing ``visits`` or
-    ``q_sum`` directly leaves them stale.
+    ``backup`` and by ``search_level``'s inlined copy of it, which reads rad
+    from the solve's 1 / sqrt(v) table (the same floats): writing ``visits``
+    or ``q_sum`` directly leaves them stale.
     """
 
     actions: tuple[Action, ...]
@@ -427,9 +427,9 @@ class EpisodeKernel:
     reward.  ``lit``, ``tables`` and ``wsum`` are built by ``mctsat.blp``'s
     ``literal_sets``, ``union_table`` and ``weight_sum``.
 
-    ``solve`` runs ``advance``'s step walk inline, fused with its shuffle;
-    ``advance`` is the walk's reference and still builds each arm's one-step
-    start point.
+    ``search_level`` runs ``advance``'s step walk inline, fused with its
+    shuffle; ``advance`` is the walk's reference and still builds each arm's
+    one-step start point.
 
     ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
     keyed by that set, on which alone a step's gain depends.  ``advance``
@@ -479,17 +479,14 @@ class EpisodeKernel:
         return s, sat, value, total
 
 
-def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveResult:
-    """Run the level-by-level search and return the best assignment found.
+def search_level(state, incumbent, cfg, rng, kernel, nominal, all_clauses, inv_sqrt, triples):
+    """One level's bandit: expansion, exploration, then the commit.
 
-    Per level the budget is max(ceil(explore_factor * m), |A_s| + 1) episodes:
-    one expansion episode per arm, the remainder through the eligible-set
-    draw.  The committed path is returned unless some episode found a strictly
-    better assignment, in which case that incumbent wins; keeping the path on
-    ties preserves the randomized tie-breaking that multi-optimum enumeration
-    relies on.  Deterministic for a fixed seed.  Refuses weights too large
-    for float rewards, and knobs whose float arithmetic would overflow, with a
-    ValueError.
+    ``state`` is (y, free, free_mask, point): the level's assignment, its free
+    variables in ascending order, their mask and, for shaped rewards, the
+    committed path's partial episode; ``incumbent`` is the best episode's
+    (value, y).  Returns the ``frozen`` level, the child's state (``free``
+    updated in place) and the incumbent.
 
     Each episode runs inline.  A uniform rollout draws one of the 2(n - k)
     remaining actions per step, so each free variable ends up a fair bit,
@@ -501,6 +498,123 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
     the last slot down, place the variables.  The tests hold both episodes
     to plain versions (``tests/mctsat_reference.py``) with the same RNG calls
     and the same float expressions, so the same rewards.
+    """
+    (y, free, free_mask, point), (best_value, best_y) = state, incumbent
+    kind, n = cfg.reward, len(triples)
+    shaped = kind is not RewardKind.TERMINAL
+    increment = kind is RewardKind.INCREMENT_WEIGHTED
+    mixed = kind is RewardKind.MIXED
+    tables, wsum, gains, coef = kernel.tables, kernel.wsum, kernel.gains, kernel.coef
+    getrandbits = rng.getrandbits
+    # the arm table, parallel lists indexed by arm; arm 2i + bit gives free[i]
+    # the value bit.  ys: the child's assignment; masks: its free variables; for
+    # shaped rewards its rest list and its one-step (unsat, value, total).  A
+    # variable's two arms share one rest list, so each shuffle starts from the
+    # order the last one left: the sharing is part of the RNG results
+    ys, masks, rests, starts = [], [], [], []
+    for v in free:
+        rest_mask = free_mask ^ 1 << v
+        if shaped:
+            rest = [triples[u] for u in free if u != v]
+        for bit in (0, 1):
+            ys.append(y | bit << v)
+            masks.append(rest_mask)
+            if shaped:
+                _, sat, value, total = kernel.advance(point, (v,), bit, increment)
+                rests.append(rest)
+                starts.append((all_clauses ^ sat, value, total))
+    # one plan for every arm's walk, all of one length: per step, the slot i its
+    # swap fills, the bits of that draw and the step's coefficient.  Slot 0,
+    # which shuffle leaves, draws getrandbits(0): 0, taking no RNG state, so
+    # one loop covers every step
+    width = len(free) - 1
+    if shaped:
+        plan = [(i, i and (i + 1).bit_length(), coef[n - i]) for i in range(width - 1, -1, -1)]
+    level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
+    budget = max(nominal, len(ys) + 1)
+    visits, q_sum, r_max, r_min = level.visits, level.q_sum, level.r_max, level.r_min
+    mean, rad = level.mean, level.rad
+    # exploration_arms reads total once, at its first draw, after expansion
+    level.total = len(ys)
+    # expansion, then exploration; the episode and backup inlined
+    for arm in chain(range(len(ys)), exploration_arms(level, cfg, rng, budget - len(ys))):
+        if shaped:
+            rest = rests[arm]
+            bits = step = getrandbits(width)
+            # the shuffle of rest and advance's walk in one pass: each
+            # swap places a variable for good, and advance's walk scores it at
+            # once; each step follows the arm's own, so r1 counts every gain.
+            # Each swap makes the getrandbits calls of shuffle's swap of slot
+            # i, the same rejection loop for a draw below i + 1.  It keeps the
+            # unsatisfied clauses: & with the negative ~sat is slower
+            unsat, value, total = starts[arm]
+            for i, size, cf in plan:
+                j = getrandbits(size)
+                while j > i:
+                    j = getrandbits(size)
+                triple = rest[j]
+                rest[j] = rest[i]
+                rest[i] = triple
+                new = triple[step & 1] & unsat
+                step >>= 1
+                if new:
+                    try:
+                        gain = gains[new]
+                    except KeyError:
+                        gain = gains[new] = wsum(new)
+                    unsat ^= new
+                    value += gain
+                    if increment:
+                        total += cf * gain
+                if not increment:
+                    total += cf * value
+            reward = 0.5 * total + 0.5 * float(value) if mixed else total
+            if value > best_value:
+                best_value = value
+                walk = reversed(rest)
+                best_y = ys[arm] | sum((bits >> i & 1) << t[2] for i, t in enumerate(walk))
+        else:
+            full = ys[arm] | (getrandbits(n) & masks[arm])  # every free bit from one draw
+            sat = 0
+            for base, table in tables:  # kernel.evaluate
+                sat |= table[full >> base & 0xFF]
+            value = wsum(sat)
+            if value > best_value:
+                best_value, best_y = value, full
+            reward = float(value)
+        v = visits[arm] = visits[arm] + 1
+        q = q_sum[arm] = q_sum[arm] + reward
+        mean[arm] = q / v
+        rad[arm] = inv_sqrt[v]
+        if reward > r_max[arm]:
+            r_max[arm] = reward
+        if reward < r_min[arm]:
+            r_min[arm] = reward
+    level.total = budget  # the sum of visits again
+    arm = select_best_child(level, cfg.exploit_rule, rng)
+    del free[arm >> 1]  # the committed variable; free stays sorted
+    if shaped:
+        unsat, value, total = starts[arm]
+        point = (point[0] + 1, all_clauses ^ unsat, value, total)
+    return level.frozen(), (ys[arm], free, masks[arm], point), (best_value, best_y)
+
+
+# solve's ceiling on n: its least budget, n(n + 2) episodes, already takes hours there
+MAX_VARS = 2**16
+
+
+def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveResult:
+    """Run the level-by-level search and return the best assignment found.
+
+    Per level the budget is max(ceil(explore_factor * m), |A_s| + 1) episodes:
+    one expansion episode per arm, the remainder through the eligible-set
+    draw; ``search_level`` runs each level.  The committed path is returned
+    unless some episode found a strictly better assignment, in which case that
+    incumbent wins; keeping the path on ties preserves the randomized
+    tie-breaking that multi-optimum enumeration relies on.  Deterministic for
+    a fixed seed.  Refuses a formula of more than ``MAX_VARS`` variables,
+    weights too large for float rewards, and knobs whose float arithmetic
+    would overflow, with a ValueError.
     """
     n, m = f.num_vars, f.num_clauses
     if not 0.0 <= cfg.alpha <= 1.0:
@@ -514,6 +628,8 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
         raise ValueError(f"uct_c must be finite, got {cfg.uct_c}")
     if n == 0:
         raise ValueError("formula has no variables")
+    if n > MAX_VARS:  # before any n-sized table
+        raise ValueError(f"formula has {n} variables; solve takes at most MAX_VARS = {MAX_VARS}")
     kernel = EpisodeKernel(f, problem_class)
     rng = random.Random(cfg.seed)
     nominal = math.ceil(cfg.explore_factor * m)
@@ -541,123 +657,23 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
             f"uct_c x sqrt(2 ln level budget) plus the largest reward must be at most"
             f" half the largest float, got uct_c {cfg.uct_c}"
         )
-    kind = cfg.reward
-    shaped = kind is not RewardKind.TERMINAL
-    increment = kind is RewardKind.INCREMENT_WEIGHTED
-    mixed = kind is RewardKind.MIXED
-    y, free, point = 0, list(range(n)), EpisodeKernel.START
-    free_mask = (1 << n) - 1
-    best_value, best_y = -1, 0
-    per_level, levels = [], []  # budgets, snapshots
-    tables, wsum = kernel.tables, kernel.wsum
     # 1 / sqrt(v) for every visit count an arm can reach: level 0's budget
     # bounds them all, and the floats are backup's own
     inv_sqrt = [math.inf] + [1.0 / math.sqrt(v) for v in range(1, budget0 + 1)]
-    lit, gains, coef = kernel.lit, kernel.gains, kernel.coef
     # rest lists' items: a walk step reads its clause set as triple[bit]
-    triples = [(off, on, u) for u, (off, on) in enumerate(lit)]
-    getrandbits = rng.getrandbits
+    triples = [(off, on, u) for u, (off, on) in enumerate(kernel.lit)]
+    state, incumbent, levels = (0, list(range(n)), (1 << n) - 1, EpisodeKernel.START), (-1, 0), []
     t0 = time.perf_counter()
-
-    while free:
-        # the arm table, parallel lists indexed by arm; arm 2i + bit gives free[i]
-        # the value bit.  ys: the child's assignment; masks: its free variables;
-        # for shaped rewards its rest list and its one-step start point.  A
-        # variable's two arms share one rest list, so each shuffle starts from the
-        # order the last one left: the sharing is part of the RNG results
-        ys, masks, rests, unsats, values, totals = [], [], [], [], [], []
-        for v in free:
-            rest_mask = free_mask ^ 1 << v
-            if shaped:
-                rest = [triples[u] for u in free if u != v]
-            for bit in (0, 1):
-                ys.append(y | bit << v)
-                masks.append(rest_mask)
-                if shaped:
-                    _, sat, value, total = kernel.advance(point, (v,), bit, increment)
-                    rests.append(rest)
-                    unsats.append(all_clauses ^ sat)
-                    values.append(value)
-                    totals.append(total)
-        # one plan for every arm's walk, all of one length: per step, the slot i its
-        # swap fills, the bits of that draw and the step's coefficient.  Slot 0,
-        # which shuffle leaves, draws getrandbits(0): 0, taking no RNG state, so
-        # one loop covers every step
-        width = len(free) - 1
-        if shaped:
-            plan = [(i, i and (i + 1).bit_length(), coef[n - i]) for i in range(width - 1, -1, -1)]
-        level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
-        budget = max(nominal, len(ys) + 1)
-        visits, q_sum, r_max, r_min = level.visits, level.q_sum, level.r_max, level.r_min
-        mean, rad = level.mean, level.rad
-        # exploration_arms reads total once, at its first draw, after expansion
-        level.total = len(ys)
-        # expansion, then exploration; the episode and backup inlined
-        for arm in chain(range(len(ys)), exploration_arms(level, cfg, rng, budget - len(ys))):
-            if shaped:
-                rest = rests[arm]
-                bits = step = getrandbits(width)
-                # the shuffle of rest and advance's walk in one pass: each
-                # swap places a variable for good, and advance's walk scores it at
-                # once; each step follows the arm's own, so r1 counts every gain.
-                # Each swap makes the getrandbits calls of shuffle's swap of slot
-                # i, the same rejection loop for a draw below i + 1.  It keeps the
-                # unsatisfied clauses: & with the negative ~sat is slower
-                unsat, value, total = unsats[arm], values[arm], totals[arm]
-                for i, size, cf in plan:
-                    j = getrandbits(size)
-                    while j > i:
-                        j = getrandbits(size)
-                    triple = rest[j]
-                    rest[j] = rest[i]
-                    rest[i] = triple
-                    new = triple[step & 1] & unsat
-                    step >>= 1
-                    if new:
-                        try:
-                            gain = gains[new]
-                        except KeyError:
-                            gain = gains[new] = wsum(new)
-                        unsat ^= new
-                        value += gain
-                        if increment:
-                            total += cf * gain
-                    if not increment:
-                        total += cf * value
-                reward = 0.5 * total + 0.5 * float(value) if mixed else total
-                if value > best_value:
-                    best_value = value
-                    walk = reversed(rest)
-                    best_y = ys[arm] | sum((bits >> i & 1) << t[2] for i, t in enumerate(walk))
-            else:
-                full = ys[arm] | (getrandbits(n) & masks[arm])  # every free bit from one draw
-                sat = 0
-                for base, table in tables:  # kernel.evaluate
-                    sat |= table[full >> base & 0xFF]
-                value = wsum(sat)
-                if value > best_value:
-                    best_value, best_y = value, full
-                reward = float(value)
-            v = visits[arm] = visits[arm] + 1
-            q = q_sum[arm] = q_sum[arm] + reward
-            mean[arm] = q / v
-            rad[arm] = inv_sqrt[v]
-            if reward > r_max[arm]:
-                r_max[arm] = reward
-            if reward < r_min[arm]:
-                r_min[arm] = reward
-        level.total = budget  # the sum of visits again
-        arm = select_best_child(level, cfg.exploit_rule, rng)
-        del free[arm >> 1]  # the committed variable; free stays sorted
-        y, free_mask = ys[arm], masks[arm]  # masks[arm] is the child's free set
-        if shaped:
-            point = (point[0] + 1, all_clauses ^ unsats[arm], values[arm], totals[arm])
-        per_level.append(budget)
-        levels.append(level.frozen())
-
+    while state[1]:  # free variables left
+        level, state, incumbent = search_level(
+            state, incumbent, cfg, rng, kernel, nominal, all_clauses, inv_sqrt, triples
+        )
+        levels.append(level)
     wall_ms = (time.perf_counter() - t0) * 1000.0
+    y, (best_value, best_y) = state[0], incumbent
     final_y = best_y if best_value > kernel.evaluate(y)[0] else y
     value, sat = kernel.evaluate(final_y)
+    per_level = tuple(level.total for level in levels)
     return SolveResult(
         assignment=tuple(final_y >> v & 1 for v in range(n)),
         objective=value,
@@ -665,6 +681,6 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
         hard_violations=tuple(
             j for j, c in enumerate(f.clauses) if c.hard and not sat >> j & 1
         ),
-        stats=SearchStats(sum(per_level), tuple(per_level), nominal, wall_ms),
+        stats=SearchStats(sum(per_level), per_level, nominal, wall_ms),
         level_roots=tuple(levels),
     )

@@ -1,17 +1,17 @@
 """Reference helpers that only the tests use.
 
-``solve`` runs its episodes inline, in its own frame.  These are the plain
-versions it is held to, with the same RNG calls and the same float
-expressions: ``uniform_completion`` and ``evaluate`` make the terminal
-episode, ``shuffled_completion`` and ``shaped`` the shaped one.
+``mctsat.mcts.search_level`` runs a level's episodes inline, in its own
+frame.  These are the plain versions it is held to, with the same RNG calls
+and the same float expressions: ``uniform_completion`` and ``evaluate`` make
+the terminal episode, ``shuffled_completion`` and ``shaped`` the shaped one.
 ``TestReferenceSearch`` in ``test_mcts.py`` rebuilds the search from them.
 ``uct_value`` is one arm's UCT value, as ``exploration_eligible`` evaluates
 it, and ``format_blp`` a text dump of the matrix view.  The rest completes
 the decision-process view of ``mctsat.rl`` (the depth-0 state, the terminal
 test, the reward of one episode) and inverts ``records.record_to_json``.
 
-``mctsat.mcts.solve``'s docstring says why the one-draw completion and the
-bits-then-shuffle order are a uniform rollout's distributions.
+``mctsat.mcts.search_level``'s docstring says why the one-draw completion and
+the bits-then-shuffle order are a uniform rollout's distributions.
 
 The module is named apart from perfbench's ``reference``: perfbench's tests
 import that one by its bare name, and one pytest run, which collects both

@@ -166,6 +166,29 @@ class TestExitCodes:
         assert "empty.cnf" in captured.err and "header declares no variables" in captured.err
         assert json.loads(captured.out)["instance"] == "uf20-01.cnf"
 
+    @pytest.mark.parametrize("source", ["file", "gen"])
+    def test_huge_header_is_1_without_traceback(self, tmp_path, source):
+        # 2^64 variables over clauses on variables 1-4: solve refuses the count
+        # before it builds any n-sized table.  The child caps its own address
+        # space, so a regression ends in a MemoryError, not in a full host
+        pytest.importorskip("resource")
+        n = 2**64
+        if source == "file":
+            target = tmp_path / "huge.cnf"
+            target.write_text(f"p cnf {n} 3\n1 2 0\n-2 3 0\n3 -4 0\n")
+        else:
+            target = f"gen:n={n},m=3"
+        child = (
+            "import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            f"sys.argv = ['mctsat', {str(target)!r}]\n"
+            "runpy.run_module('mctsat.cli', run_name='__main__')\n"
+        )
+        proc = run_python(["-c", child])
+        assert proc.returncode == 1
+        assert f"formula has {n} variables; solve takes at most MAX_VARS = 65536" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_is_2(self, capsys):
         assert run_cli(["does-not-exist.cnf"]) == 2
 

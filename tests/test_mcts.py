@@ -2,6 +2,7 @@
 theory budgets, and end-to-end solves against the oracle."""
 
 import copy
+import dataclasses
 import math
 import random
 import re
@@ -589,7 +590,7 @@ class TestSolve:
             solve(f, ProblemClass.MAXSAT, SolverConfig(**{field: value}))
 
     def test_tree_accounting_invariants(self):
-        # solve's loop writes the level lists itself; they must be what
+        # search_level writes the level lists itself; they must be what
         # ``backup`` would have written, the caches exactly
         rng = random.Random(2)
         for reward in [kind for kind in RewardKind for _ in range(5)]:
@@ -598,6 +599,8 @@ class TestSolve:
             cfg = SolverConfig(seed=rng.randint(0, 999), reward=reward)
             res = solve(f, cls, cfg)
             assert len(res.level_roots) == f.num_vars
+            assert res.stats.per_level == tuple(r.total for r in res.level_roots)
+            assert res.stats.episodes == sum(res.stats.per_level)
             for root in res.level_roots:
                 assert root.total == sum(root.visits)
                 for a, visits in enumerate(root.visits):
@@ -608,6 +611,33 @@ class TestSolve:
                 for q_sum, visits, r_min, r_max in nodes:
                     mean = q_sum / visits
                     assert r_min - 1e-9 <= mean <= r_max + 1e-9
+
+    @pytest.mark.parametrize("reward", list(RewardKind), ids=lambda r: r.value)
+    def test_each_level_is_one_search_level_call(self, monkeypatch, reward):
+        # solve calls search_level through the module global, once per level,
+        # so a wrapper set there sees every level and changes no result
+        calls = []
+        level_fn = mcts.search_level
+
+        def counting(*args):
+            calls.append(len(args[0][1]))  # the level's free variables
+            return level_fn(*args)
+
+        for n, weighted, hard in [(5, False, 0), (9, True, 2)]:
+            f = generate_random(n, 3 * n, 3, weighted=weighted, hard_count=hard, seed=n)
+            cls = classify(f)
+            cfg = SolverConfig(seed=n + 1, reward=reward)
+            plain = solve(f, cls, cfg)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(mcts, "search_level", counting)
+                wrapped = solve(f, cls, cfg)
+            assert calls == list(range(n, 0, -1))
+            for field in dataclasses.fields(wrapped):
+                got, want = getattr(wrapped, field.name), getattr(plain, field.name)
+                if field.name == "stats":  # the wall time is the only field that may differ
+                    got = dataclasses.replace(got, wall_ms=want.wall_ms)
+                assert got == want, field.name
 
     @pytest.mark.parametrize(
         "shape, reward, bits, value, visits",
@@ -781,8 +811,9 @@ def reference_search(f, cls, cfg):
 
 
 class TestReferenceSearch:
-    """``solve``, with its episodes and backup inline, against the same
-    search run through the reference helpers: equal floats, not close ones."""
+    """``solve``, whose levels run their episodes and backups inline, against
+    the same search run through the reference helpers: equal floats, not
+    close ones."""
 
     CLASSES = pytest.mark.parametrize(
         "weighted, hard", [(False, 0), (True, 0), (False, 2), (True, 2)],
