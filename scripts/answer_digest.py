@@ -34,10 +34,10 @@ from mctsat.mcts import ExploitRule, SolverConfig, derive_seed, solve
 from mctsat.rl import RewardKind
 
 PINNED = {  # reward kind -> digest
-    "terminal": "8d80762dded63e6576bd26e1047a0b3df31ac4d916f1efe6bbbf0cadd026af01",
-    "r1": "d3e7e33bf7dc6a122872ad3a6597e57408375ded6a2f98797c37821e5295211a",
-    "r2": "f2724f242a3337a2222a681f1ac913ea3a9e6ca16440501165cf2685151dc88f",
-    "mixed": "e48d9c7c9a27ece88246a9795f5dcd25d98b9684148afef8ceb2d55fc7ca344b",
+    "terminal": "933b2b34bc0105423f4d2dc640f4d81e27fdd739e3b7245139dda719b522529c",
+    "r1": "818839f83f463441be5701799712832cd1b7e6039860e3ce2d91464838727f23",
+    "r2": "3ecf02bb7e7c08f3d85f3565e933e9f0061f139868b0c3686d747cc7bdb1a456",
+    "mixed": "0b766a255d0568842266bd1d426132a540c8a405ae29ed77362aa155337c3ddf",
 }
 UF20_DIR = Path(__file__).resolve().parent.parent / "tests" / "data" / "uf20"
 CLASSES = ((False, 0), (True, 0), (False, 2), (True, 2))  # (weighted, hard clauses)

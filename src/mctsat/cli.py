@@ -122,6 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the literals a gen: spec may ask for in total, count x m x k: refused before
+# anything is generated, since a few hundred million already exhaust the memory
+GEN_MAX_LITERALS = 2**22
+
+
 def _parse_gen_spec(spec: str, default_seed: int) -> list[tuple[str, Formula]]:
     fields = {"n": None, "m": None, "k": 3, "weighted": 0, "hard": 0, "count": 1}
     fields["seed"] = default_seed
@@ -152,6 +157,12 @@ def _parse_gen_spec(spec: str, default_seed: int) -> list[tuple[str, Formula]]:
         if value < lo or hi is not None and value > hi:
             span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise ValueError(f"generator key {key!r} in {spec!r} must be {span}, got {value}")
+    literals = fields["count"] * fields["m"] * fields["k"]
+    if literals > GEN_MAX_LITERALS:
+        raise ValueError(
+            f"generator spec {spec!r} asks for count x m x k = {literals} literals;"
+            f" gen: makes at most GEN_MAX_LITERALS = {GEN_MAX_LITERALS}"
+        )
     out = []
     tag = "w" if fields["weighted"] else "u"
     for i in range(fields["count"]):

@@ -104,11 +104,11 @@ class LevelStats:
 @dataclass(frozen=True)
 class SearchStats:
     """A solve's search effort.  ``per_level`` holds each level's actual
-    budget, max(n_explore, |A_s| + 1) episodes, in level order, and
-    ``episodes`` their sum.  ``n_explore`` is the nominal budget
-    ceil(explore_factor * m).  ``wall_ms`` times the level loop only:
-    building the episode kernel and scoring the final assignment fall
-    outside it."""
+    budget, max(n_explore, |A_s| + 1) episodes, or |A_s| at a decided level
+    (see ``search_level``), in level order, and ``episodes`` their sum.
+    ``n_explore`` is the nominal budget ceil(explore_factor * m).
+    ``wall_ms`` times the level loop only: building the episode kernel and
+    scoring the final assignment fall outside it."""
 
     episodes: int
     per_level: tuple[int, ...]
@@ -173,7 +173,8 @@ _ROOT_2_LOG_LOCK = threading.Lock()  # held while the table grows
 def exploration_arms(level: LevelStats, cfg: SolverConfig, rng, episodes: int):
     """Yield ``episodes`` arms, each the arm ``select_exploration_child``
     would draw at that point, from the same RNG calls.  The caller must
-    ``backup`` each yielded arm before asking for the next.
+    ``backup`` each yielded arm before asking for the next.  For 0 episodes,
+    a decided level's ask, it checks the level and draws nothing.
 
     The draws come in stretches of ``STRETCH``.  A stretch's scales are
     s = c * r, r = sqrt(2 ln t); r never decreases in t and IEEE
@@ -428,8 +429,8 @@ class EpisodeKernel:
     ``literal_sets``, ``union_table`` and ``weight_sum``.
 
     ``search_level`` runs ``advance``'s step walk inline, fused with its
-    shuffle; ``advance`` is the walk's reference and still builds each arm's
-    one-step start point.
+    shuffle; ``advance`` is the walk's reference and still takes one step
+    for each arm's start point and for each commit.
 
     ``gains`` caches ``wsum`` of each step's newly satisfied clause set,
     keyed by that set, on which alone a step's gain depends.  ``advance``
@@ -483,10 +484,17 @@ def search_level(state, incumbent, cfg, rng, kernel, nominal, all_clauses, inv_s
     """One level's bandit: expansion, exploration, then the commit.
 
     ``state`` is (y, free, free_mask, point): the level's assignment, its free
-    variables in ascending order, their mask and, for shaped rewards, the
-    committed path's partial episode; ``incumbent`` is the best episode's
+    variables in ascending order, their mask and the committed path's partial
+    episode, ``advance``'s point; ``incumbent`` is the best episode's
     (value, y).  Returns the ``frozen`` level, the child's state (``free``
     updated in place) and the incumbent.
+
+    A level is decided when, for every arm, no other free variable occurs in
+    a clause the arm leaves unsatisfied: each reward is fixed by expansion,
+    exploration could move neither incumbent nor commit, and the budget is
+    |A_s|, not max(nominal, |A_s| + 1).  For all arms at once: one free
+    variable, or each unsatisfied clause that a free variable occurs in holds
+    every free variable with both signs.  So are a decided level's children.
 
     Each episode runs inline.  A uniform rollout draws one of the 2(n - k)
     remaining actions per step, so each free variable ends up a fair bit,
@@ -512,7 +520,10 @@ def search_level(state, incumbent, cfg, rng, kernel, nominal, all_clauses, inv_s
     # variable's two arms share one rest list, so each shuffle starts from the
     # order the last one left: the sharing is part of the RNG results
     ys, masks, rests, starts = [], [], [], []
+    occurs, both = 0, all_clauses  # the clauses a free variable occurs in; with both signs
     for v in free:
+        off, on = kernel.lit[v]
+        occurs, both = occurs | off | on, both & off & on
         rest_mask = free_mask ^ 1 << v
         if shaped:
             rest = [triples[u] for u in free if u != v]
@@ -531,7 +542,9 @@ def search_level(state, incumbent, cfg, rng, kernel, nominal, all_clauses, inv_s
     if shaped:
         plan = [(i, i and (i + 1).bit_length(), coef[n - i]) for i in range(width - 1, -1, -1)]
     level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
-    budget = max(nominal, len(ys) + 1)
+    # the decided test, for every arm at once; point[1]: the prefix's satisfied set
+    decided = len(free) == 1 or not occurs & (all_clauses ^ point[1]) & ~both
+    budget = len(ys) if decided else max(nominal, len(ys) + 1)
     visits, q_sum, r_max, r_min = level.visits, level.q_sum, level.r_max, level.r_min
     mean, rad = level.mean, level.rad
     # exploration_arms reads total once, at its first draw, after expansion
@@ -592,14 +605,12 @@ def search_level(state, incumbent, cfg, rng, kernel, nominal, all_clauses, inv_s
             r_min[arm] = reward
     level.total = budget  # the sum of visits again
     arm = select_best_child(level, cfg.exploit_rule, rng)
-    del free[arm >> 1]  # the committed variable; free stays sorted
-    if shaped:
-        unsat, value, total = starts[arm]
-        point = (point[0] + 1, all_clauses ^ unsat, value, total)
+    # the committed variable leaves free, which stays sorted
+    point = kernel.advance(point, (free.pop(arm >> 1),), arm & 1, increment)
     return level.frozen(), (ys[arm], free, masks[arm], point), (best_value, best_y)
 
 
-# solve's ceiling on n: its least budget, n(n + 2) episodes, already takes hours there
+# solve's ceiling on n: its least budget, n(n + 1) episodes, already takes hours there
 MAX_VARS = 2**16
 
 
@@ -608,7 +619,8 @@ def solve(f: Formula, problem_class: ProblemClass, cfg: SolverConfig) -> SolveRe
 
     Per level the budget is max(ceil(explore_factor * m), |A_s| + 1) episodes:
     one expansion episode per arm, the remainder through the eligible-set
-    draw; ``search_level`` runs each level.  The committed path is returned
+    draw, or |A_s| at a level whose rewards are fixed (decided, see
+    ``search_level``, which runs each level).  The committed path is returned
     unless some episode found a strictly better assignment, in which case that
     incumbent wins; keeping the path on ties preserves the randomized
     tie-breaking that multi-optimum enumeration relies on.  Deterministic for

@@ -35,6 +35,19 @@ def run_python(args):
     )
 
 
+def run_capped_cli(target):
+    """``mctsat.cli`` as ``__main__`` on one input, in a child that caps its
+    own address space at 1 GB: a runaway allocation ends in a MemoryError
+    there, not in a full host."""
+    child = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.argv = ['mctsat', {target!r}]\n"
+        "runpy.run_module('mctsat.cli', run_name='__main__')\n"
+    )
+    return run_python(["-c", child])
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -178,15 +191,28 @@ class TestExitCodes:
             target.write_text(f"p cnf {n} 3\n1 2 0\n-2 3 0\n3 -4 0\n")
         else:
             target = f"gen:n={n},m=3"
-        child = (
-            "import resource, runpy, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            f"sys.argv = ['mctsat', {str(target)!r}]\n"
-            "runpy.run_module('mctsat.cli', run_name='__main__')\n"
-        )
-        proc = run_python(["-c", child])
+        proc = run_capped_cli(str(target))
         assert proc.returncode == 1
         assert f"formula has {n} variables; solve takes at most MAX_VARS = 65536" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spec, literals",
+        [
+            ("gen:n=3,m=100000000000", 3 * 10**11),
+            ("gen:n=3,m=3,count=100000000000", 9 * 10**11),
+            ("gen:n=100000000,m=1,k=100000000", 10**8),
+        ],
+        ids=["m", "count", "k"],
+    )
+    def test_huge_gen_spec_is_1_without_traceback(self, spec, literals):
+        # refused before anything is generated; the capped child keeps a
+        # regression from filling the host
+        pytest.importorskip("resource")
+        proc = run_capped_cli(spec)
+        assert proc.returncode == 1
+        message = f"asks for count x m x k = {literals} literals; gen: makes at most"
+        assert f"{message} GEN_MAX_LITERALS = {2**22}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_file_is_2(self, capsys):

@@ -15,8 +15,10 @@ import pytest
 
 from mctsat import (
     Action,
+    Clause,
     ExploitRule,
     LevelStats,
+    Literal,
     ProblemClass,
     RewardKind,
     SolverConfig,
@@ -552,14 +554,18 @@ class TestSolve:
     def test_budget_floor_is_children_plus_one(self):
         f = parse_cnf("p cnf 4 1\n1 2 3 4 0\n")
         res = solve(f, ProblemClass.MAXSAT, SolverConfig(explore_factor=0.01, seed=0))
-        assert res.stats.per_level == (9, 7, 5, 3)
+        # the first two levels take 2(n - k) + 1 episodes; by level 2 the
+        # committed prefix satisfies the clause, so each level from there on is
+        # decided and takes its 2(n - k) expansion episodes only
+        assert res.stats.per_level == (9, 7, 4, 2)
 
     def test_nominal_budget_ceil(self):
         f = parse_cnf("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n")
         res = solve(f, ProblemClass.MAXSAT, SolverConfig(explore_factor=7, seed=0))
         assert res.stats.n_explore == 21
-        assert res.stats.per_level == (21, 21)
-        assert res.stats.episodes == 42
+        # the last level, one free variable, is decided: its two expansion episodes
+        assert res.stats.per_level == (21, 2)
+        assert res.stats.episodes == 23
 
     def test_invalid_config_rejected(self):
         f = parse_cnf("p cnf 1 1\n1 0\n")
@@ -681,7 +687,7 @@ class TestSolve:
                 (1, 2, 1, 1, 1, 1, 132, 1, 1, 125, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "wmaxsat", RewardKind.MIXED, "011111100010", 20159,
+                "wmaxsat", RewardKind.MIXED, "011111100011", 20159,
                 (1, 21, 1, 1, 1, 1, 124, 1, 1, 114, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
             ),
             (
@@ -689,11 +695,11 @@ class TestSolve:
                 (1, 1, 1, 1, 113, 102, 8, 1, 2, 4, 2, 1, 10, 2, 1, 14, 8, 1, 2, 1, 1, 1, 1, 1),
             ),
             (
-                "pms", RewardKind.PREFIX_WEIGHTED, "011111100011", 116,
+                "pms", RewardKind.PREFIX_WEIGHTED, "010111100011", 116,
                 (1, 1, 5, 1, 4, 1, 1, 1, 95, 1, 1, 1, 1, 71, 1, 1, 3, 84, 1, 1, 1, 1, 1, 1),
             ),
             (
-                "pms", RewardKind.MIXED, "011111001010", 115,
+                "pms", RewardKind.MIXED, "010111001010", 115,
                 (1, 1, 95, 1, 2, 1, 1, 1, 5, 1, 1, 1, 1, 75, 1, 1, 2, 83, 1, 1, 1, 1, 1, 1),
             ),
         ],
@@ -771,16 +777,31 @@ class TestSolve:
         assert hits == 15
 
 
-def reference_search(f, cls, cfg):
+def reference_search(f, cls, cfg, decide=True):
     """``solve``'s search from its public reference helpers: the final
-    assignment and the levels' statistics."""
+    assignment, the levels' statistics and which levels were decided.
+
+    An arm's reward is fixed when the free variables other than its own occur
+    in no clause that the arm leaves unsatisfied: no later step can gain.  A
+    level is decided when every arm's reward is fixed, and then spends only
+    its expansion, one episode per arm.  With ``decide`` off every level
+    spends its full budget, max(nominal, arms + 1) episodes, as the paper's
+    search does."""
     kernel = EpisodeKernel(f, cls)
     rng = random.Random(cfg.seed)
     n, m = f.num_vars, f.num_clauses
     nominal = math.ceil(cfg.explore_factor * m)
     increment = cfg.reward is RewardKind.INCREMENT_WEIGHTED
+    all_clauses = (1 << m) - 1
     y, free, point = 0, list(range(n)), EpisodeKernel.START
-    best_value, best_y, levels = -1, 0, []
+    best_value, best_y, levels, decided = -1, 0, [], []
+
+    def fixed(rest, start):
+        others = 0  # the clauses that the other free variables occur in
+        for u in rest:
+            others |= kernel.lit[u][0] | kernel.lit[u][1]
+        return not others & (all_clauses ^ start[1])
+
     while free:
         arms = []
         for v in free:
@@ -788,7 +809,8 @@ def reference_search(f, cls, cfg):
             for bit in (0, 1):
                 arms.append((y | bit << v, rest, kernel.advance(point, (v,), bit, increment)))
         level = LevelStats.fresh([Action(v + 1, bit) for v in free for bit in (0, 1)])
-        budget = max(nominal, len(arms) + 1)
+        decided.append(all(fixed(rest, start) for _, rest, start in arms))
+        budget = len(arms) if decide and decided[-1] else max(nominal, len(arms) + 1)
         for arm in chain(range(len(arms)), exploration_arms(level, cfg, rng, budget - len(arms))):
             child_y, rest, start = arms[arm]
             if cfg.reward is RewardKind.TERMINAL:
@@ -807,7 +829,17 @@ def reference_search(f, cls, cfg):
         levels.append(level)
     # the incumbent wins only when strictly better than the committed path
     final_y = best_y if best_value > kernel.evaluate(y)[0] else y
-    return tuple(final_y >> v & 1 for v in range(n)), levels
+    return tuple(final_y >> v & 1 for v in range(n)), levels, decided
+
+
+def assert_solve_matches_reference(f, cls, cfg):
+    """``solve`` and ``reference_search`` give the same answer and the same
+    level statistics, float for float."""
+    assignment, levels, _ = reference_search(f, cls, cfg)
+    res = solve(f, cls, cfg)
+    assert res.assignment == assignment
+    assert res.level_roots == tuple(level.frozen() for level in levels)
+    assert len(levels) == f.num_vars
 
 
 class TestReferenceSearch:
@@ -824,16 +856,8 @@ class TestReferenceSearch:
     @staticmethod
     def check(n, m, weighted, hard, reward):
         f = generate_random(n, m, 3, weighted=weighted, hard_count=hard, seed=17 + 3 * hard)
-        cls = classify(f)
         cfg = SolverConfig(seed=5 + weighted, reward=reward)
-        assignment, levels = reference_search(f, cls, cfg)
-        res = solve(f, cls, cfg)
-        assert res.assignment == assignment
-        assert len(res.level_roots) == len(levels) == f.num_vars
-        for got, want in zip(res.level_roots, levels):
-            assert got.actions == want.actions and got.total == want.total
-            for name in ("visits", "q_sum", "r_max", "r_min", "mean", "rad"):
-                assert list(getattr(got, name)) == getattr(want, name), name
+        assert_solve_matches_reference(f, classify(f), cfg)
 
     @REWARDS
     @CLASSES
@@ -846,3 +870,115 @@ class TestReferenceSearch:
     def test_solve_matches_reference_at_shaped_mix_size(self, weighted, hard, reward):
         # the benchmark's shaped size: levels of up to 28 arms, walks of up to 13 steps
         self.check(14, 50, weighted, hard, reward)
+
+
+class TestDecidedLevels:
+    """The decided-level rule against the full-budget search, the reference
+    with the rule off: at every level that the rule decides, exploration
+    could change no commit.  Each arm's reward is one constant, every later
+    level is decided too, and the full run's commit scores are those
+    constants, so its best arms are the best arms after expansion.  ``solve``
+    spends every episode the full run spends up to the first decided level,
+    on the same draws.
+
+    The scores are the constants exactly under the significance rule (r_max)
+    and for terminal rewards, integers whose sums do not round.  A mean of a
+    fractional constant r over v visits is its running sum over v, which can
+    round up to v/2 units in the last place away from r: equal rewards can
+    then get unequal means, and the full run's mean rule breaks some of their
+    ties by that rounding.  A decided level commits on r itself."""
+
+    @staticmethod
+    def check(f, cls, cfg):
+        _, full, decided = reference_search(f, cls, cfg, decide=False)
+        res = solve(f, cls, cfg)
+        first = decided.index(True)  # the last level, with one free variable, is decided
+        assert all(decided[first:])
+        for level in full[first:]:
+            assert level.r_min == level.r_max  # each arm's one reward
+            scores = level.mean if cfg.exploit_rule is ExploitRule.MEAN_Q else level.r_max
+            for r, score, v in zip(level.r_max, scores, level.visits):
+                assert abs(score - r) <= v * 2**-53 * abs(r)
+            if cfg.exploit_rule is ExploitRule.SIGNIFICANCE or cfg.reward is RewardKind.TERMINAL:
+                assert scores == level.r_max
+        assert res.level_roots[:first] == tuple(level.frozen() for level in full[:first])
+        # the first decided level's expansion draws are the full run's; past its
+        # commit the streams part, and each level takes its expansion only
+        assert res.level_roots[first].r_max == tuple(full[first].r_max)
+        for level in res.level_roots[first:]:
+            assert level.visits == (1,) * len(level.actions)
+        return len(decided) - first
+
+    def test_uf20_fixtures(self, uf20_texts):
+        decided = 0
+        for text in uf20_texts:
+            f = parse_cnf(text)
+            for seed in (1, 2):
+                decided += self.check(f, ProblemClass.MAXSAT, SolverConfig(seed=seed))
+        assert decided > 40  # more than the last level of each solve
+
+    @pytest.mark.parametrize("rule", list(ExploitRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize(
+        "weighted, hard", [(False, 0), (True, 0), (False, 2), (True, 2)],
+        ids=["maxsat", "wmaxsat", "pms", "wpms"],
+    )
+    def test_shaped_mix_size(self, weighted, hard, rule):
+        decided = 0
+        for i, reward in enumerate(
+            [RewardKind.INCREMENT_WEIGHTED, RewardKind.PREFIX_WEIGHTED, RewardKind.MIXED]
+        ):
+            f = generate_random(14, 50, 3, weighted, hard, seed=derive_seed(i, 14))
+            cfg = SolverConfig(seed=i, reward=reward, exploit_rule=rule)
+            decided += self.check(f, classify(f), cfg)
+        assert decided > 3
+
+    def test_clause_with_both_signs_of_every_free_variable(self):
+        # every arm's own step satisfies the clause, and no other clause is
+        # left: level 0 is decided although both free variables occur in it
+        f = parse_cnf("p cnf 2 1\n1 -1 2 -2 0\n")
+        cfg = SolverConfig(seed=1)
+        assert solve(f, ProblemClass.MAXSAT, cfg).stats.per_level == (4, 2)
+        assert reference_search(f, ProblemClass.MAXSAT, cfg)[2] == [True, True]
+
+
+def with_both_signs(f):
+    """``f`` with each clause's literals followed by their complements: a
+    clause that any value of any of its variables satisfies."""
+    clauses = []
+    for c in f.clauses:
+        complements = tuple(Literal(x.var, not x.negated) for x in c.literals)
+        clauses.append(Clause(c.literals + complements, c.weight, c.hard))
+    return dataclasses.replace(f, clauses=tuple(clauses))
+
+
+class TestDifferentialFuzz:
+    """``solve`` against ``reference_search``, bit for bit, on random formulas
+    of the four classes with n = 1-8 and knobs at their edges: alpha at 0 and
+    1 and one float inside each, uct_c zero, negative and large, the budget at
+    its floor (explore_factor 0.01, so every level spends 2(n - k) + 1
+    episodes, or its expansion when decided) and above it.  A quarter of the
+    formulas write every clause with both signs of its variables, the case in
+    which a level can be decided while its free variables still occur in a
+    clause the prefix leaves unsatisfied."""
+
+    CLASSES = ((False, 0), (True, 0), (False, 2), (True, 2))
+
+    @pytest.mark.parametrize("rule", list(ExploitRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize("reward", list(RewardKind), ids=lambda r: r.value)
+    def test_solve_matches_reference(self, reward, rule):
+        rng = random.Random(f"{reward.value}-{rule.value}")
+        knobs = [
+            (alpha, c, factor)
+            for alpha in (0.0, 1.0, 5e-324, 1.0 - 2**-53)
+            for c in (0.0, -1.0, 1e6)
+            for factor in (0.01, 3.0)
+        ]
+        for i, (alpha, c, factor) in enumerate(knobs):
+            weighted, hard = self.CLASSES[i % 4]
+            n = rng.randint(1, 8)
+            m, seed = rng.randint(2, 4 * n), rng.randint(0, 999)
+            f = generate_random(n, m, min(3, n), weighted, hard, seed)
+            if rng.random() < 0.25:
+                f = with_both_signs(f)
+            cfg = SolverConfig(factor, alpha, c, reward, rule, seed=rng.randint(0, 999))
+            assert_solve_matches_reference(f, classify(f), cfg)
