@@ -92,11 +92,26 @@ def checked_weights(f: Formula, problem_class: ProblemClass) -> list[int]:
 
 
 def literal_sets(f: Formula) -> list[list[int]]:
-    """``sets[v][b]``: the set of clauses that literal ``v + 1 = b`` satisfies."""
-    sets = [[0, 0] for _ in range(f.num_vars)]
+    """``sets[v][b]``: the set of clauses that literal ``v + 1 = b`` satisfies.
+
+    Built in time linear in the literals and the sets' spans, where ORing in
+    one bit per occurrence would be quadratic in m: first each literal's
+    clause indices, then one base-2 digit string over the literal's span."""
+    sets = [[[], []] for _ in range(f.num_vars)]
     for j, clause in enumerate(f.clauses):
         for lit in clause.literals:
-            sets[lit.var - 1][not lit.negated] |= 1 << j
+            sets[lit.var - 1][not lit.negated].append(j)
+    for pair in sets:
+        for b in 0, 1:
+            js = pair[b]
+            if not js:
+                pair[b] = 0
+                continue
+            lo, hi = js[0], js[-1]
+            digits = bytearray(b"0") * (hi - lo + 1)  # most significant first
+            for j in js:
+                digits[hi - j] = 49  # b"1"
+            pair[b] = int(digits, 2) << lo
     return sets
 
 

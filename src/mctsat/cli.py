@@ -5,9 +5,11 @@ the exhaustive oracle, sweep the four reward shapes (ablation), or sweep alpha
 over an 11-point grid.  Inputs are DIMACS files or ``gen:`` specs such as
 ``gen:n=8,m=20,k=3,weighted=1,hard=2,count=5,seed=7``.
 
-Output: ``--format json`` (the default) writes one JSON object per row;
-``--format csv`` writes a header, then one line per row with the same
-columns in the same order.  solve gives one row per instance, the dict of
+Each mode turns one instance into its rows, dicts with the same keys in
+every row of the mode; ``main`` runs the one loop over the instances and
+writes the rows.  ``--format json`` (the default) writes one JSON object per
+row; ``--format csv`` writes the first row's keys as the header, then one
+line per row.  solve gives one row per instance, the dict of
 ``records.make_record`` keyed by ``records.CSV_COLUMNS``; oracle-check one per
 instance, ablation one per instance and reward, alpha-grid one per instance
 and alpha.  enumerate gives one JSON object per instance, holding its distinct
@@ -22,6 +24,7 @@ in their input order, and the i-th instance's seeds derive from ``--seed``
 and i.
 
 Exit codes: 0 success, 1 usage error, 2 parse failures, 3 oracle mismatch.
+1 beats the others and writes no rows; 3 beats 2.
 
 No mode needs numpy: every mode runs on the standard library alone.  Each
 mode imports what only it uses when it runs: enumerate loads the enumerator,
@@ -45,29 +48,8 @@ from .instances import (
     parse_dimacs,
 )
 from .mcts import ExploitRule, SolverConfig, derive_seed, solve
-from .records import CSV_COLUMNS, CSV_DECIMALS, csv_cells, make_record, record_to_json
+from .records import CSV_DECIMALS, csv_cells, make_record, record_to_json
 from .rl import RewardKind
-
-ENUM_COLUMNS = ("instance", "execution", "distinct_count")
-ORACLE_COLUMNS = ("instance", "class", "solver_objective", "oracle_optimum", "match")
-ABLATION_COLUMNS = (
-    "instance",
-    "class",
-    "reward",
-    "repeats",
-    "mean_objective",
-    "mean_wall_ms",
-)
-ALPHA_COLUMNS = (
-    "instance",
-    "class",
-    "alpha",
-    "repeats",
-    "mean_objective",
-    "norm_objective",
-    "mean_wall_ms",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
@@ -194,21 +176,11 @@ def _load_inputs(args) -> tuple[list[tuple[str, Formula]], bool]:
             continue
         path = Path(item)
         try:  # bytes: the parser decodes them, replacing what is not UTF-8
-            data = path.read_bytes()
-        except OSError as exc:
-            sys.stderr.write(f"error: {item}: {exc}\n")
-            failed = True
-            continue
-        try:
-            instances.append((path.name, parse_dimacs(data)))
-        except ParseError as exc:
+            instances.append((path.name, parse_dimacs(path.read_bytes())))
+        except (OSError, ParseError) as exc:
             sys.stderr.write(f"error: {item}: {exc}\n")
             failed = True
     return instances, failed
-
-
-def _resolve_class(formula: Formula, token: str) -> ProblemClass:
-    return classify(formula) if token == "auto" else ProblemClass(token)
 
 
 def _config(args, seed: int, alpha=None, reward=None) -> SolverConfig:
@@ -223,84 +195,72 @@ def _config(args, seed: int, alpha=None, reward=None) -> SolverConfig:
     )
 
 
-def _emit(args, columns, rows, csv_rows=lambda row: [row]) -> None:
-    """Write row dicts as JSON lines, or as CSV under a ``columns`` header;
-    ``csv_rows`` maps a row to the CSV rows it stands for."""
+def _emit(args, rows) -> None:
+    """Write row dicts as JSON lines, or as CSV under a header of the first
+    row's keys."""
     if args.format == "csv":
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(csv_cells(line) for row in rows for line in csv_rows(row))
+        writer.writerow(rows[0].keys())
+        writer.writerows(map(csv_cells, rows))
         payload = buf.getvalue()
     else:
         payload = "".join(record_to_json(row) + "\n" for row in rows)
     if args.out is None:
         sys.stdout.write(payload)
         return
-    try:
-        args.out.write_text(payload)
+    try:  # an input name that is not UTF-8 goes out as its own bytes, as on stdout
+        args.out.write_text(payload, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ValueError(f"{args.out}: {exc.strerror or exc}") from None
 
 
-def _mode_solve(instances, args) -> int:
-    rows = []
-    for idx, (name, formula) in enumerate(instances):
-        cls = _resolve_class(formula, args.problem_class)
-        seed = derive_seed(args.seed, idx)
-        result = solve(formula, cls, _config(args, seed))
-        rows.append(make_record(result, name, cls, seed))
-    _emit(args, CSV_COLUMNS, rows)
-    return 0
+def _mode_solve(name, formula, cls, idx, args) -> list[dict]:
+    seed = derive_seed(args.seed, idx)
+    return [make_record(solve(formula, cls, _config(args, seed)), name, cls, seed)]
 
 
-def _curve_rows(row):
-    """enumerate's CSV shape: one row per point of an instance's curve."""
-    for point in row["curve"]:
-        yield dict(zip(ENUM_COLUMNS, (row["instance"], *point)))
-
-
-def _mode_enumerate(instances, args) -> int:
+def _mode_enumerate(name, formula, cls, idx, args) -> list[dict]:
     from .enumeration import enumerate_optima
 
-    rows = []
-    for idx, (name, formula) in enumerate(instances):
-        cls = _resolve_class(formula, args.problem_class)
-        cfg = _config(args, derive_seed(args.seed, idx))
-        report = enumerate_optima(formula, cls, cfg, args.executions)
-        rows.append(
-            {
-                "instance": name,
-                "class": cls.value,
-                "best_objective": report.best_objective,
-                "executions": report.executions,
-                "distinct_optima": report.distinct_optima,
-                "curve": report.discovery_curve,
-            }
-        )
-    _emit(args, ENUM_COLUMNS, rows, _curve_rows)
-    return 0
+    cfg = _config(args, derive_seed(args.seed, idx))
+    report = enumerate_optima(formula, cls, cfg, args.executions)
+    if args.format == "csv":  # one row per point of the discovery curve
+        return [
+            {"instance": name, "execution": i, "distinct_count": count}
+            for i, count in report.discovery_curve
+        ]
+    return [
+        {
+            "instance": name,
+            "class": cls.value,
+            "best_objective": report.best_objective,
+            "executions": report.executions,
+            "distinct_optima": report.distinct_optima,
+            "curve": report.discovery_curve,
+        }
+    ]
 
 
-def _mode_oracle_check(instances, args) -> int:
+def _mode_oracle_check(name, formula, cls, idx, args) -> list[dict]:
     from .oracle import brute_force
 
-    rows = []
-    for idx, (name, formula) in enumerate(instances):
-        cls = _resolve_class(formula, args.problem_class)
-        try:
-            truth = brute_force(formula, cls, args.oracle_max_vars)
-        except ValueError as exc:
-            sys.stderr.write(f"error: {name}: {exc}\n")
-            return 1
-        result = solve(formula, cls, _config(args, derive_seed(args.seed, idx)))
-        match = result.objective == truth.optimum
-        cells = (name, cls.value, result.objective, truth.optimum, match)
-        rows.append(dict(zip(ORACLE_COLUMNS, cells)))
-    _emit(args, ORACLE_COLUMNS, rows)
-    return 0 if all(row["match"] for row in rows) else 3
+    try:
+        truth = brute_force(formula, cls, args.oracle_max_vars)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    result = solve(formula, cls, _config(args, derive_seed(args.seed, idx)))
+    return [
+        {
+            "instance": name,
+            "class": cls.value,
+            "solver_objective": result.objective,
+            "oracle_optimum": truth.optimum,
+            "match": result.objective == truth.optimum,
+        }
+    ]
 
 
 def _iqr_normalizer(values):
@@ -313,45 +273,45 @@ def _iqr_normalizer(values):
     return lambda v: min(1.0, max(0.0, (v - q1) / (q3 - q1)))
 
 
-def _sweep(instances, args, knob, values, columns) -> int:
-    """Solve every (instance, knob value) cell ``args.repeats`` times and emit
-    one row per cell with its mean objective and wall time.  When ``columns``
-    has norm_objective, a row also holds its solves' mean objective normalised
-    by the IQR of all the instance's solves."""
+def _sweep(name, formula, cls, idx, args, knob, values, normalise=False) -> list[dict]:
+    """Solve the instance ``args.repeats`` times at each knob value and give
+    one row per value with its mean objective and wall time.  With
+    ``normalise``, a row also holds its solves' mean objective normalised by
+    the IQR of all the instance's solves."""
+    cells = []
+    for v_idx, value in enumerate(values):
+        objectives, walls = [], []
+        for rep in range(args.repeats):
+            seed = derive_seed(args.seed, idx, v_idx, rep)
+            result = solve(formula, cls, _config(args, seed, **{knob: value}))
+            objectives.append(result.objective)
+            walls.append(result.stats.wall_ms)
+        cells.append((value, objectives, walls))
+    if normalise:
+        norm = _iqr_normalizer([v for _, objectives, _ in cells for v in objectives])
+
+    def mean(key, samples):  # at its CSV decimals
+        return round(sum(samples) / args.repeats, CSV_DECIMALS[key])
+
     rows = []
-    for idx, (name, formula) in enumerate(instances):
-        cls = _resolve_class(formula, args.problem_class)
-        cells = []
-        for v_idx, value in enumerate(values):
-            objectives, walls = [], []
-            for rep in range(args.repeats):
-                seed = derive_seed(args.seed, idx, v_idx, rep)
-                result = solve(formula, cls, _config(args, seed, **{knob: value}))
-                objectives.append(result.objective)
-                walls.append(result.stats.wall_ms)
-            cells.append((value, objectives, walls))
-        population = [v for _, objectives, _ in cells for v in objectives]
-        norm = _iqr_normalizer(population) if "norm_objective" in columns else None
-        for value, objectives, walls in cells:
-            sums = [sum(objectives), sum(walls)]
-            if norm is not None:
-                sums.insert(1, sum(map(norm, objectives)))
-            row = dict(zip(columns, (name, cls.value, value, args.repeats)))
-            for key, total in zip(columns[4:], sums):  # the means, at their CSV decimals
-                row[key] = round(total / args.repeats, CSV_DECIMALS[key])
-            rows.append(row)
-    _emit(args, columns, rows)
-    return 0
+    for value, objectives, walls in cells:
+        row = {"instance": name, "class": cls.value, knob: value, "repeats": args.repeats}
+        row["mean_objective"] = mean("mean_objective", objectives)
+        if normalise:
+            row["norm_objective"] = mean("norm_objective", map(norm, objectives))
+        row["mean_wall_ms"] = mean("mean_wall_ms", walls)
+        rows.append(row)
+    return rows
 
 
-def _mode_ablation(instances, args) -> int:
+def _mode_ablation(name, formula, cls, idx, args) -> list[dict]:
     rewards = [kind.value for kind in RewardKind]
-    return _sweep(instances, args, "reward", rewards, ABLATION_COLUMNS)
+    return _sweep(name, formula, cls, idx, args, "reward", rewards)
 
 
-def _mode_alpha_grid(instances, args) -> int:
+def _mode_alpha_grid(name, formula, cls, idx, args) -> list[dict]:
     alphas = [i / 10 for i in range(11)]
-    return _sweep(instances, args, "alpha", alphas, ALPHA_COLUMNS)
+    return _sweep(name, formula, cls, idx, args, "alpha", alphas, normalise=True)
 
 
 _MODE_RUNNERS = {
@@ -365,24 +325,26 @@ _MODE_RUNNERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run_mode = _MODE_RUNNERS[args.mode]
     try:
         instances, parse_failed = _load_inputs(args)
+        if not instances:
+            sys.stderr.write("error: no usable instances\n")
+            return 2 if parse_failed else 1
+        # by name only: a stable sort keeps inputs of the same name in input order
+        instances.sort(key=lambda item: item[0])
+        rows = []
+        for idx, (name, formula) in enumerate(instances):
+            token = args.problem_class
+            cls = classify(formula) if token == "auto" else ProblemClass(token)
+            rows += run_mode(name, formula, cls, idx, args)
+        _emit(args, rows)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if not instances:
-        sys.stderr.write("error: no usable instances\n")
-        return 2 if parse_failed else 1
-    # by name only: a stable sort keeps inputs of the same name in input order
-    instances.sort(key=lambda item: item[0])
-    try:
-        code = _MODE_RUNNERS[args.mode](instances, args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    if code == 0 and parse_failed:
-        return 2
-    return code
+    if not all(row.get("match", True) for row in rows):
+        return 3
+    return 2 if parse_failed else 0
 
 
 def entry() -> None:  # console-script wrapper

@@ -1,6 +1,7 @@
 """Reduction correctness: matrix rows, weight rules, and equivalence of the
 row test with a direct clause walk written independently here."""
 
+import dataclasses
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from mctsat import (
     to_blp,
     UNASSIGNED,
 )
+from mctsat.blp import literal_sets
 from mctsat_reference import format_blp, to_tableaux
 
 
@@ -214,6 +216,32 @@ class TestObjective:
             y = [rng.randint(0, 1) for _ in range(6)]
             res = objective(f, ProblemClass.MAXSAT, y)
             assert res.value == sum(res.satisfied)
+
+
+def literal_sets_by_bits(f):
+    """``literal_sets`` as first written: one bit ORed in per occurrence."""
+    sets = [[0, 0] for _ in range(f.num_vars)]
+    for j, clause in enumerate(f.clauses):
+        for l in clause.literals:
+            sets[l.var - 1][not l.negated] |= 1 << j
+    return sets
+
+
+class TestLiteralSets:
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 1000])
+    def test_matches_one_bit_per_occurrence(self, m):
+        # every other clause repeats its first literal and adds its complement;
+        # at n = 40 and small m most literals occur nowhere
+        rng = random.Random(m)
+        for n in (1, 2, 5, 40):
+            f = generate_random(n, m, min(3, n), True, 0, rng.randint(0, 10**6))
+            clauses = []
+            for j, c in enumerate(f.clauses):
+                first = c.literals[0]
+                extra = (first, Literal(first.var, not first.negated)) if j % 2 == 0 else ()
+                clauses.append(Clause(c.literals + extra, c.weight, c.hard))
+            f = dataclasses.replace(f, clauses=tuple(clauses))
+            assert literal_sets(f) == literal_sets_by_bits(f)
 
 
 class TestOptimalSolutionPreservation:

@@ -414,6 +414,42 @@ class TestExitCodes:
         rows = read_csv(out)
         assert all(row[-1] == "1" for row in rows[1:])
 
+    def test_oracle_guard_names_the_instance_and_writes_no_rows(self, tmp_path, capsys):
+        # the generated instance sorts first and is checked before the guard fails
+        big = tmp_path / "zz.cnf"
+        big.write_text("p cnf 25 1\n1 2 25 0\n")
+        assert run_cli(["gen:n=6,m=14", str(big), "--mode", "oracle-check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: zz.cnf: 25 variables exceed the enumeration guard 20\n"
+        assert captured.out == ""
+
+    def test_oracle_mismatch_beats_a_parse_failure(self, tmp_path, capsys):
+        # the starved budget of test_oracle_mismatch_is_3, beside a missing input
+        spec = "gen:n=10,m=30,weighted,count=30,seed=6"
+        argv = [spec, str(tmp_path / "missing.cnf"), "--mode", "oracle-check"]
+        assert run_cli(argv + ["--explore-factor", "0.01", "--seed", "5"]) == 3
+
+    def test_oracle_guard_beats_a_parse_failure(self, tmp_path, capsys):
+        big = tmp_path / "big.cnf"
+        big.write_text("p cnf 25 1\n1 2 25 0\n")
+        argv = [str(big), str(tmp_path / "missing.cnf"), "--mode", "oracle-check"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_non_utf8_file_name_is_written_to_out_as_its_bytes(self, tmp_path):
+        # stdout writes the name's own bytes; a CSV --out file must hold them too
+        raw = b"bad\xff.cnf"
+        if sys.getfilesystemencoding() != "utf-8":
+            pytest.skip("file names are not decoded as UTF-8 here")
+        try:
+            (tmp_path / os.fsdecode(raw)).write_bytes(UF20_01.read_bytes())
+        except OSError:
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        out = tmp_path / "out.csv"
+        path = str(tmp_path / os.fsdecode(raw))
+        assert run_cli([path, "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_bytes().splitlines()[1].startswith(raw + b",")
+
 
 class TestEnumerateMode:
     def test_curve_csv(self, tmp_path):

@@ -951,6 +951,30 @@ def with_both_signs(f):
     return dataclasses.replace(f, clauses=tuple(clauses))
 
 
+# the differential cases' (alpha, uct_c, explore_factor) edges and classes,
+# as TestDifferentialFuzz describes them
+FUZZ_KNOBS = [
+    (alpha, c, factor)
+    for alpha in (0.0, 1.0, 5e-324, 1.0 - 2**-53)
+    for c in (0.0, -1.0, 1e6)
+    for factor in (0.01, 3.0)
+]
+FUZZ_CLASSES = ((False, 0), (True, 0), (False, 2), (True, 2))  # (weighted, hard)
+
+
+def draw_fuzz_case(rng, weighted, hard, alpha, c, factor, reward, rule):
+    """A differential case drawn from ``rng``: a random formula with n = 1-8
+    (a quarter of them with both signs of every clause variable) and its
+    solver config."""
+    n = rng.randint(1, 8)
+    m, seed = rng.randint(2, 4 * n), rng.randint(0, 999)
+    f = generate_random(n, m, min(3, n), weighted, hard, seed)
+    if rng.random() < 0.25:
+        f = with_both_signs(f)
+    cfg = SolverConfig(factor, alpha, c, reward, rule, seed=rng.randint(0, 999))
+    return f, cfg
+
+
 class TestDifferentialFuzz:
     """``solve`` against ``reference_search``, bit for bit, on random formulas
     of the four classes with n = 1-8 and knobs at their edges: alpha at 0 and
@@ -961,24 +985,10 @@ class TestDifferentialFuzz:
     which a level can be decided while its free variables still occur in a
     clause the prefix leaves unsatisfied."""
 
-    CLASSES = ((False, 0), (True, 0), (False, 2), (True, 2))
-
     @pytest.mark.parametrize("rule", list(ExploitRule), ids=lambda r: r.value)
     @pytest.mark.parametrize("reward", list(RewardKind), ids=lambda r: r.value)
     def test_solve_matches_reference(self, reward, rule):
         rng = random.Random(f"{reward.value}-{rule.value}")
-        knobs = [
-            (alpha, c, factor)
-            for alpha in (0.0, 1.0, 5e-324, 1.0 - 2**-53)
-            for c in (0.0, -1.0, 1e6)
-            for factor in (0.01, 3.0)
-        ]
-        for i, (alpha, c, factor) in enumerate(knobs):
-            weighted, hard = self.CLASSES[i % 4]
-            n = rng.randint(1, 8)
-            m, seed = rng.randint(2, 4 * n), rng.randint(0, 999)
-            f = generate_random(n, m, min(3, n), weighted, hard, seed)
-            if rng.random() < 0.25:
-                f = with_both_signs(f)
-            cfg = SolverConfig(factor, alpha, c, reward, rule, seed=rng.randint(0, 999))
+        for i, knobs in enumerate(FUZZ_KNOBS):
+            f, cfg = draw_fuzz_case(rng, *FUZZ_CLASSES[i % 4], *knobs, reward, rule)
             assert_solve_matches_reference(f, classify(f), cfg)
